@@ -6,25 +6,12 @@ scanning with localization checks, and eigenmode reconstruction.
 from .core import (
     BeamParameters,
     DomainError,
-    KrylovValues,
     SpectralPoint,
     ValidationError,
-    exp_xM,
-    krylov,
     to_spectral_point,
     validate_parameters,
 )
 from .freqeq import (
-    FreqEvaluation,
-    FreqForm,
-    RangeError,
-    det_M3,
-    det_M3_scale,
-    det_M_closed,
-    det_M_oracle,
-    det_M_scale,
-    evaluate,
-    interface_matrix,
     mu_hat,
     phi,
     phi0,
@@ -62,32 +49,19 @@ __all__ = [
     "ConfigurationError",
     "DegenerateModeError",
     "DomainError",
-    "FreqEvaluation",
-    "FreqForm",
-    "KrylovValues",
     "LocalizationPreconditionError",
     "LocalizationReport",
     "ModeShape",
     "PairingStatus",
-    "RangeError",
     "Root",
     "RootPairing",
     "SpectralPoint",
     "Target",
     "ValidationError",
     "closed_form_roots_half",
-    "det_M3",
-    "det_M3_scale",
-    "det_M_closed",
-    "det_M_oracle",
-    "det_M_scale",
     "detect_rational_ratio",
-    "evaluate",
     "evaluate_mode",
-    "exp_xM",
     "full_state",
-    "interface_matrix",
-    "krylov",
     "mu_hat",
     "normalize_L2",
     "pair_mutual_nearest",

@@ -1,4 +1,4 @@
-"""Domain types, unit handling, Krylov basis functions, and the 4x4 matrix exponential.
+"""Domain types and unit handling.
 
 The beam model is the hinged-hinged Euler-Bernoulli equation u'''' = mu^4 u with a
 point mass-spring attachment at an interior point.  Everything downstream works in
@@ -10,17 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ValidationError",
     "DomainError",
     "BeamParameters",
     "SpectralPoint",
-    "KrylovValues",
     "validate_parameters",
-    "krylov",
-    "exp_xM",
     "to_spectral_point",
 ]
 
@@ -97,22 +92,6 @@ class SpectralPoint:
     omega: float
     lambda_imag: float
     nu: float
-
-
-@dataclass(frozen=True)
-class KrylovValues:
-    """The four fundamental solutions of u'''' = mu^4 u evaluated at one (mu, x).
-
-    z1 = (cosh mu x + cos mu x)/2            z1' = mu^4 z4
-    z2 = (sinh mu x + sin mu x)/(2 mu)       z2' = z1
-    z3 = (cosh mu x - cos mu x)/(2 mu^2)     z3' = z2
-    z4 = (sinh mu x - sin mu x)/(2 mu^3)     z4' = z3
-    """
-
-    z1: float
-    z2: float
-    z3: float
-    z4: float
 
 
 # unit -> (si multiplier, dimension tag); dimension tags are compared textually
@@ -202,41 +181,6 @@ def validate_parameters(raw: dict) -> BeamParameters:
         attachment_point=_parse_quantity("l0", raw["l0"]),
         shaker_mass=_parse_quantity("m", raw["m"]),
         spring_stiffness=_parse_quantity("kappa", raw["kappa"]),
-    )
-
-
-def krylov(mu: float, x):
-    """Evaluate z1..z4 at (mu, x); x may be negative and may be an ndarray."""
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    mx = mu * np.asarray(x, dtype=float)
-    ch, sh = np.cosh(mx), np.sinh(mx)
-    c, s = np.cos(mx), np.sin(mx)
-    z1 = 0.5 * (ch + c)
-    z2 = (sh + s) / (2.0 * mu)
-    z3 = (ch - c) / (2.0 * mu**2)
-    z4 = (sh - s) / (2.0 * mu**3)
-    if np.ndim(x) == 0:
-        return KrylovValues(float(z1), float(z2), float(z3), float(z4))
-    return KrylovValues(z1, z2, z3, z4)
-
-
-def exp_xM(mu: float, x: float) -> np.ndarray:
-    """The 4x4 fundamental matrix e^{xM} of U' = MU, built from Krylov values.
-
-    Rows cycle z1..z4; entries below the main z1-diagonal pick up mu^4.
-    Columns are the state vectors (u, u', u'', u''') of the four fundamental
-    solutions, so column k has unit k-th derivative data at x = 0.
-    """
-    z = krylov(mu, x)
-    m4 = mu**4
-    return np.array(
-        [
-            [z.z1, z.z2, z.z3, z.z4],
-            [m4 * z.z4, z.z1, z.z2, z.z3],
-            [m4 * z.z3, m4 * z.z4, z.z1, z.z2],
-            [m4 * z.z2, m4 * z.z3, m4 * z.z4, z.z1],
-        ]
     )
 
 

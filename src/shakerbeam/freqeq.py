@@ -2,78 +2,30 @@
 
 An eigenfrequency parameter mu > 0 must satisfy det M(mu) = 0, where M is the
 4x4 interface matrix tying the two hinged half-spans together at the attachment
-point.  Four evaluations are provided:
+point.  Its entries grow like e^{mu l}, so det M itself overflows near
+mu l ~ 700.  Root finding instead uses the exponentially scaled characteristic
+function
 
-* ``det_M_closed``  -- closed-form expansion of det M (three term groups),
-* ``det_M_oracle``  -- LU determinant of a column-equivalent matrix whose
-  trigonometric and hyperbolic parts are separated and whose hyperbolics are
-  folded against e^{-mu l0}, e^{-mu (l - l0)}; independent of the closed form,
-* ``phi0``/``phi1``/``phi`` -- the exponentially scaled characteristic function
-  Phi = Phi0 + Phi1 with det M = (m e^{mu l}/(8 rho mu)) * Phi; every hyperbolic
-  in Phi1 is folded against e^{-mu l}, so phi is overflow-free for any mu,
-* ``det_M3`` -- the 3x3 regularity determinant guarding mode reconstruction.
-
-The unscaled determinants exist for cross-validation at moderate mu; production
-root finding always uses phi.
+* ``phi0`` -- the truncated part 2 sin mu(l-l0) sin mu l0 - sin mu l, which
+  dominates as mu grows,
+* ``phi1`` -- the correction, with every hyperbolic folded against e^{-mu l},
+* ``phi`` -- Phi = Phi0 + Phi1, with det M = (m e^{mu l}/(8 rho mu)) * Phi;
+  phi is overflow-free for any mu and has the same positive zeros as det M.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import BeamParameters, DomainError, krylov
+from .core import BeamParameters, DomainError
 
 __all__ = [
-    "RangeError",
-    "FreqForm",
-    "FreqEvaluation",
     "mu_hat",
-    "interface_matrix",
-    "det_M_closed",
-    "det_M_oracle",
-    "det_M_scale",
     "phi0",
+    "phi0_prime",
     "phi1",
     "phi",
-    "det_M3",
-    "det_M3_scale",
-    "evaluate",
 ]
-
-# cosh overflows double just above exp(710); stay below with margin
-_CLOSED_MAX_MUL = 690.0
-# the documented range over which the oracle cross-validates det_M_closed
-# (tested to 1e-12 of det_M_scale); past it, use the scaled phi
-_ORACLE_MAX_MUL = 170.0
-
-
-class RangeError(ValueError):
-    """Raised when an unscaled evaluation would overflow double precision."""
-
-
-class FreqForm(enum.Enum):
-    ExactClosedForm = "closed"
-    ExactOracle4x4 = "oracle"
-    TruncatedPhi0 = "phi0"
-    PhiSum = "phi"
-
-
-@dataclass(frozen=True)
-class FreqEvaluation:
-    """A characteristic-function sample, reported on the scaled (bounded) level.
-
-    value_scaled is det M divided by the dominant growth factor
-    m e^{mu l} / (8 rho mu) for the exact forms, and phi0/phi directly for the
-    truncated/sum forms; the four forms therefore share zeros and scale.
-    """
-
-    mu: float
-    value_scaled: float
-    form: FreqForm
 
 
 def mu_hat(mu: float, params: BeamParameters) -> float:
@@ -81,123 +33,6 @@ def mu_hat(mu: float, params: BeamParameters) -> float:
     return params.spring_stiffness / params.flexural_rigidity - (
         params.shaker_mass / params.linear_density
     ) * mu**4
-
-
-def interface_matrix(mu: float, params: BeamParameters) -> np.ndarray:
-    """The 4x4 interface matrix M on (u1(0), u3(0), u1(l), u3(l)).
-
-    Rows: continuity of u, u', u'' across the attachment point, then the
-    third-derivative force balance of the mass-spring unit.
-    """
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    l, l0 = params.length, params.attachment_point
-    a = krylov(mu, l0)
-    b = krylov(mu, l0 - l)
-    m4 = mu**4
-    mh = mu_hat(mu, params)
-    return np.array(
-        [
-            [a.z2, a.z4, -b.z2, -b.z4],
-            [a.z1, a.z3, -b.z1, -b.z3],
-            [m4 * a.z4, a.z2, -m4 * b.z4, -b.z2],
-            [m4 * a.z3 - mh * a.z2, a.z1 - mh * a.z4, -m4 * b.z3, -b.z1],
-        ]
-    )
-
-
-def det_M_closed(mu: float, params: BeamParameters) -> float:
-    """Closed-form det M: the m/(4 mu rho) group, -sin*sinh/mu^2, and the
-    kappa/(4 EI mu^5) group."""
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    l, l0 = params.length, params.attachment_point
-    if mu * l > _CLOSED_MAX_MUL:
-        raise RangeError(
-            f"mu*l = {mu * l:.3g} exceeds the cosh overflow bound {_CLOSED_MAX_MUL};"
-            " use the scaled characteristic function phi instead"
-        )
-    sl, cl = math.sin(mu * l), math.cos(mu * l)
-    shl, chl = math.sinh(mu * l), math.cosh(mu * l)
-    chd = math.cosh(mu * (l - 2 * l0))
-    cd = math.cos(mu * (l - 2 * l0))
-    mass_group = (params.shaker_mass / (4.0 * mu * params.linear_density)) * (
-        (chd - chl) * sl + (cd - cl) * shl
-    )
-    spring_group = (
-        params.spring_stiffness / (4.0 * params.flexural_rigidity * mu**5)
-    ) * ((chl - chd) * sl + (cl - cd) * shl)
-    return mass_group - sl * shl / mu**2 + spring_group
-
-
-def det_M_scale(mu: float, params: BeamParameters) -> float:
-    """Magnitude envelope of det_M_closed: sum of the term-group bounds.
-
-    The natural yardstick for 'relative' agreement between determinant
-    evaluations -- unlike |det M| itself it does not vanish at roots.
-    """
-    l, l0 = params.length, params.attachment_point
-    ch = math.cosh(mu * l) + math.cosh(mu * (l - 2 * l0))
-    return (
-        (params.shaker_mass / (4.0 * mu * params.linear_density)) * 2.0 * ch
-        + math.cosh(mu * l) / mu**2
-        + (params.spring_stiffness / (4.0 * params.flexural_rigidity * mu**5)) * 2.0 * ch
-    )
-
-
-def det_M_oracle(mu: float, params: BeamParameters) -> float:
-    """Independent det M: LU determinant of a matrix column-equivalent to the
-    interface matrix, assembled entry-by-entry from sin/cos and folded
-    exponentials.
-
-    The columns of M pair up by segment: columns 1, 2 share the hyperbolic
-    part e^{mu l0}, columns 3, 4 the part e^{mu (l - l0)}, so an LU
-    determinant of the raw entries cancels them and loses
-    eps * e^{mu max(l0, l - l0)} of the result.  Instead the unit-determinant
-    operations col1 -= mu^2 col2 and col3 -= mu^2 col4 leave columns 1 and 3
-    purely trigonometric, e^{-mu l0} and e^{-mu (l - l0)} are folded out of
-    columns 2 and 4 (sinh x e^{-x} = (1 - e^{-2x})/2), and
-    det M = e^{mu l} det N for the resulting O(1) matrix N.
-    """
-    l, l0 = params.length, params.attachment_point
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    if mu * l > _ORACLE_MAX_MUL:
-        raise RangeError(
-            f"mu*l = {mu * l:.3g} exceeds the oracle's cross-validation range"
-            f" {_ORACLE_MAX_MUL}; use the scaled characteristic function phi instead"
-        )
-    b0, b1 = mu * l0, mu * (l - l0)
-    s0, c0 = math.sin(b0), math.cos(b0)
-    s1, c1 = math.sin(b1), math.cos(b1)
-    a1, a2, a3, a4 = _folded_krylov(mu, l0)
-    # krylov(mu, l0 - l) = (z1, -z2, z3, -z4) of krylov(mu, l - l0)
-    d1, d2, d3, d4 = _folded_krylov(mu, l - l0)
-    mh = mu_hat(mu, params)
-    n = np.array(
-        [
-            [s0 / mu, a4, s1 / mu, d4],
-            [c0, a3, -c1, -d3],
-            [-mu * s0, a2, -mu * s1, d2],
-            [-(mu**2) * c0 - mh * s0 / mu, a1 - mh * a4, mu**2 * c1, -d1],
-        ]
-    )
-    return float(np.linalg.det(n)) * math.exp(mu * l)
-
-
-def _folded_krylov(mu: float, x: float) -> tuple:
-    """Krylov values z1..z4 at (mu, x > 0) times e^{-mu x}, each O(1)/mu^k."""
-    t = mu * x
-    sh = -0.5 * math.expm1(-2.0 * t)  # sinh(t) e^{-t}
-    ch = 1.0 - sh  # cosh(t) e^{-t}
-    e = math.exp(-t)
-    s, c = math.sin(t) * e, math.cos(t) * e
-    return (
-        0.5 * (ch + c),
-        (sh + s) / (2.0 * mu),
-        (ch - c) / (2.0 * mu**2),
-        (sh - s) / (2.0 * mu**3),
-    )
 
 
 def phi0(mu, l: float, l0: float):
@@ -258,37 +93,3 @@ def phi(mu, params: BeamParameters):
     """Scaled characteristic function phi0 + phi1; its positive zeros are
     exactly the positive zeros of det M."""
     return phi0(mu, params.length, params.attachment_point) + phi1(mu, params)
-
-
-def det_M3(mu, l: float, l0: float):
-    """Regularity determinant (sinh mu l0 sin mu l + sin mu l0 sinh mu l)/(2 mu^2)."""
-    mu = np.asarray(mu, dtype=float)
-    out = (
-        np.sinh(mu * l0) * np.sin(mu * l) + np.sin(mu * l0) * np.sinh(mu * l)
-    ) / (2.0 * mu**2)
-    return float(out) if out.ndim == 0 else out
-
-
-def det_M3_scale(mu: float, l: float, l0: float) -> float:
-    """Max-abs entry of the 3x3 mode system matrix, the guard scale for det_M3."""
-    a = krylov(mu, l0)
-    b = krylov(mu, l0 - l)
-    m4 = mu**4
-    entries = (a.z2, a.z4, b.z2, b.z4, a.z1, a.z3, b.z1, b.z3, m4 * a.z4, m4 * b.z4)
-    return max(abs(e) for e in entries)
-
-
-def evaluate(mu: float, params: BeamParameters, form: FreqForm = FreqForm.PhiSum) -> FreqEvaluation:
-    """Evaluate the characteristic function in the requested form, reported on
-    the common scaled level (divided by the growth factor m e^{mu l}/(8 rho mu))."""
-    if form is FreqForm.TruncatedPhi0:
-        value = phi0(mu, params.length, params.attachment_point)
-    elif form is FreqForm.PhiSum:
-        value = phi(mu, params)
-    else:
-        det = det_M_closed(mu, params) if form is FreqForm.ExactClosedForm else det_M_oracle(mu, params)
-        growth = (params.shaker_mass / (8.0 * params.linear_density * mu)) * math.exp(
-            mu * params.length
-        )
-        value = det / growth
-    return FreqEvaluation(mu=float(mu), value_scaled=float(value), form=form)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BeamParameters, DomainError, ValidationError, to_spectral_point
-from .freqeq import det_M3, det_M3_scale, mu_hat
+from .freqeq import mu_hat
 from .roots import Root, Target
 
 __all__ = [
@@ -42,11 +42,14 @@ _GAUGE_FLOOR = 1e-10
 
 
 class DegenerateModeError(ValueError):
-    """No one-dimensional mode space at the requested mu (carries det_M3)."""
+    """No one-dimensional mode space at the requested mu.
 
-    def __init__(self, message: str, det_m3: float):
+    Carries nullspace_ratio, sigma_min/sigma_max of the scaled interface system.
+    """
+
+    def __init__(self, message: str, nullspace_ratio: float):
         super().__init__(message)
-        self.det_m3 = det_m3
+        self.nullspace_ratio = nullspace_ratio
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,8 @@ class ModeShape:
     normalization : scale factor applied by normalize_L2 (None before)
     sign_convention : +1/-1 applied so u'(0) > 0 (None before normalization)
     gauge : which boundary value was pinned to 1 by solve_mode
+    nullspace_ratio : sigma_min/sigma_max of the scaled interface system at
+        mu, in [0, 1]; solve_mode accepts a root only below 1e-6
     """
 
     mu: float
@@ -68,7 +73,7 @@ class ModeShape:
     boundary_values: tuple
     attachment: tuple
     gauge: str
-    det_m3: float
+    nullspace_ratio: float
     normalization: Optional[float] = None
     sign_convention: Optional[int] = None
 
@@ -115,25 +120,25 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
 
     The amplitude vector is the null direction of the scaled interface system,
     rescaled to the gauge u'''(l) = 1 (fallback u'(l) = 1 if the third
-    derivative vanishes at the right end).  Raises DegenerateModeError when the
-    system has no one-dimensional null space at root.mu -- i.e. the value is
-    not actually an eigenvalue, or the eigenspace is defective.
+    derivative vanishes at the right end).  The system's sigma_min/sigma_max is
+    kept as nullspace_ratio.  Raises DegenerateModeError when it exceeds 1e-6,
+    i.e. the system has no one-dimensional null space at root.mu -- the value
+    is not actually an eigenvalue, or the eigenspace is defective.
     """
     if root.target is not Target.Phi:
         raise ValidationError(
             f"mode reconstruction needs a root of the exact equation, got target {root.target}"
         )
     mu = root.mu
-    l, l0 = params.length, params.attachment_point
-    d3 = det_M3(mu, l, l0)
+    l0 = params.attachment_point
     H = _interface_system(mu, params)
     _, singular_values, vt = np.linalg.svd(H)
-    ratio = singular_values[-1] / singular_values[0]
+    ratio = float(singular_values[-1] / singular_values[0])
     if ratio > _NULLSPACE_RATIO:
         raise DegenerateModeError(
             f"no mode at mu = {mu:.9g}: interface system has no null direction"
-            f" (sigma_min/sigma_max = {ratio:.3e}, det_M3 = {d3:.6g})",
-            det_m3=d3,
+            f" (sigma_min/sigma_max = {ratio:.3e})",
+            nullspace_ratio=ratio,
         )
     amps = vt[-1]
     u1_0, u3_0, u1_l, u3_l = _boundary_values(mu, params, tuple(amps))
@@ -146,8 +151,8 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
     else:
         raise DegenerateModeError(
             f"mode at mu = {mu:.9g} has vanishing right-end derivative data;"
-            f" no gauge applicable (det_M3 = {d3:.6g})",
-            det_m3=d3,
+            f" no gauge applicable (sigma_min/sigma_max = {ratio:.3e})",
+            nullspace_ratio=ratio,
         )
     amps = tuple(float(v) for v in amps)
     p = _eval_amps(l0, mu, params, amps, 0, force_left=True)
@@ -159,7 +164,7 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
         boundary_values=_boundary_values(mu, params, amps),
         attachment=(float(p), float(omega * p)),
         gauge=gauge,
-        det_m3=d3,
+        nullspace_ratio=ratio,
     )
 
 
@@ -251,7 +256,8 @@ def normalize_L2(mode: ModeShape, quadrature_points: Optional[int] = None) -> Mo
     norm_sq = _branch_quadrature(mode, quadrature_points)
     if not norm_sq > 0.0 or not math.isfinite(norm_sq):
         raise DegenerateModeError(
-            f"mode at mu = {mode.mu:.9g} has numerically zero norm", det_m3=mode.det_m3
+            f"mode at mu = {mode.mu:.9g} has numerically zero norm",
+            nullspace_ratio=mode.nullspace_ratio,
         )
     scale = 1.0 / math.sqrt(norm_sq)
     u1_0 = mode.boundary_values[0]

@@ -28,9 +28,6 @@ from shakerbeam import (
     PairingStatus,
     Target,
     closed_form_roots_half,
-    det_M_closed,
-    det_M_oracle,
-    det_M_scale,
     evaluate_mode,
     pair_mutual_nearest,
     phi,
@@ -42,6 +39,7 @@ from shakerbeam import (
     verify_localization,
 )
 from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF
+from reference import det_M_closed, det_M_oracle, det_M_scale
 
 # Reference frequency table for the measured beam: column order is
 # (mu_bar, mu, nu_bar_hz, nu_hz); None marks the cell left empty because the

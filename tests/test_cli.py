@@ -220,7 +220,7 @@ class TestModesCommand:
         from shakerbeam.modes import DegenerateModeError
 
         def boom(root, params):
-            raise DegenerateModeError("forced for the exit-code contract", det_m3=1.25)
+            raise DegenerateModeError("forced for the exit-code contract", nullspace_ratio=0.5)
 
         monkeypatch.setattr(cli, "solve_mode", boom)
         assert main(["--out", str(tmp_path), "--quiet", "modes", "1"]) == 5

@@ -1,4 +1,4 @@
-"""Fundamental-solution matrix, parameter validation, and unit handling."""
+"""Krylov fundamental solutions, parameter validation, and unit handling."""
 
 import math
 
@@ -11,32 +11,10 @@ from shakerbeam import (
     BeamParameters,
     DomainError,
     ValidationError,
-    exp_xM,
-    krylov,
     to_spectral_point,
     validate_parameters,
 )
-
-
-def companion_matrix(mu: float) -> np.ndarray:
-    m = np.zeros((4, 4))
-    m[0, 1] = m[1, 2] = m[2, 3] = 1.0
-    m[3, 0] = mu**4
-    return m
-
-
-def rk4_expm(mu: float, x: float, steps: int = 4000) -> np.ndarray:
-    """Integrate Y' = M Y from the identity: independent oracle for exp_xM."""
-    m = companion_matrix(mu)
-    h = x / steps
-    y = np.eye(4)
-    for _ in range(steps):
-        k1 = m @ y
-        k2 = m @ (y + 0.5 * h * k1)
-        k3 = m @ (y + 0.5 * h * k2)
-        k4 = m @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+from reference import krylov
 
 
 class TestKrylov:
@@ -83,53 +61,6 @@ class TestKrylov:
         assert (up.z2 - dn.z2) / (2 * h) == pytest.approx(z.z1, rel=1e-5)
         assert (up.z3 - dn.z3) / (2 * h) == pytest.approx(z.z2, rel=1e-5)
         assert (up.z4 - dn.z4) / (2 * h) == pytest.approx(z.z3, rel=1e-5)
-
-
-class TestExpXM:
-    def test_identity_at_zero(self):
-        assert np.array_equal(exp_xM(3.0, 0.0), np.eye(4))
-
-    def test_columns_cycle_krylov(self):
-        mu, x = 2.2, 0.8
-        e = exp_xM(mu, x)
-        z = krylov(mu, x)
-        np.testing.assert_allclose(e[:, 0], [z.z1, mu**4 * z.z4, mu**4 * z.z3, mu**4 * z.z2], rtol=1e-14)
-        np.testing.assert_allclose(e[:, 1], [z.z2, z.z1, mu**4 * z.z4, mu**4 * z.z3], rtol=1e-14)
-        np.testing.assert_allclose(e[:, 2], [z.z3, z.z2, z.z1, mu**4 * z.z4], rtol=1e-14)
-        np.testing.assert_allclose(e[:, 3], [z.z4, z.z3, z.z2, z.z1], rtol=1e-14)
-
-    def test_against_rk4_oracle(self):
-        mu, x = 2.0, 0.7
-        np.testing.assert_allclose(exp_xM(mu, x), rk4_expm(mu, x), rtol=0, atol=1e-10)
-
-    def test_negative_argument_is_inverse(self):
-        mu, x = 1.9, 0.6
-        prod = exp_xM(mu, x) @ exp_xM(mu, -x)
-        np.testing.assert_allclose(prod, np.eye(4), atol=1e-12)
-
-    @given(
-        mu=st.floats(min_value=0.1, max_value=8.0),
-        x=st.floats(min_value=-1.0, max_value=1.0),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_unit_determinant(self, mu, x):
-        # Volume preservation (trace M = 0); conditioning limits the usable
-        # range to mu*|x| <~ 8 in double precision.
-        if mu * abs(x) > 8.0:
-            x = math.copysign(8.0 / mu, x)
-        assert np.linalg.det(exp_xM(mu, x)) == pytest.approx(1.0, abs=1e-8)
-
-    @given(
-        mu=st.floats(min_value=0.2, max_value=6.0),
-        a=st.floats(min_value=-0.7, max_value=0.7),
-        b=st.floats(min_value=-0.7, max_value=0.7),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_semigroup(self, mu, a, b):
-        lhs = exp_xM(mu, a + b)
-        rhs = exp_xM(mu, a) @ exp_xM(mu, b)
-        scale = max(1.0, math.exp(mu * (abs(a) + abs(b))))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
 
 
 class TestBeamParameters:

@@ -1,6 +1,7 @@
-"""Characteristic equation: closed form vs 4x4 determinant, scaled form,
-decomposition into dominant and correction parts, and the hinged-hinged
-reference determinant."""
+"""Characteristic equation: the unscaled reference forms (closed form vs 4x4
+determinant), the scaled form and its decomposition into dominant and
+correction parts, and its agreement with the scaled interface system that
+the modes are built from."""
 
 import math
 from fractions import Fraction
@@ -12,23 +13,21 @@ from hypothesis import strategies as st
 
 from shakerbeam import (
     BeamParameters,
-    FreqForm,
-    RangeError,
-    det_M3,
-    det_M3_scale,
-    det_M_closed,
-    det_M_oracle,
-    det_M_scale,
-    evaluate,
-    interface_matrix,
-    krylov,
     mu_hat,
     phi,
     phi0,
     phi0_prime,
     phi1,
 )
-from conftest import EXACT_ROOTS_REF
+from shakerbeam.modes import _interface_system
+from reference import (
+    RangeError,
+    det_M_closed,
+    det_M_oracle,
+    det_M_scale,
+    interface_matrix,
+    krylov,
+)
 
 
 def growth_factor(mu: float, p: BeamParameters) -> float:
@@ -143,6 +142,33 @@ class TestPhi:
             s2 = math.copysign(1.0, det_M_closed(mu, params))
             assert s1 == s2
 
+    def test_equals_scaled_interface_determinant(self):
+        # The two production forms of the interface problem, phi for the roots
+        # and the scaled 4x4 system for the modes, agree far past the range of
+        # the unscaled references: det(H) max(1, |jump|) 2 rho / (m mu) = phi.
+        rng = np.random.default_rng(20260815)
+        mus = np.geomspace(0.1, 1e5, 600)
+        worst = 0.0
+        for _ in range(20):
+            l = rng.uniform(0.5, 2.5)
+            l0 = l * rng.uniform(0.1, 0.9)
+            p = BeamParameters(
+                youngs_modulus=10.0 ** rng.uniform(0.0, 2.0),
+                second_moment=1.0,
+                linear_density=10.0 ** rng.uniform(-1.0, 1.0),
+                length=l,
+                attachment_point=l0,
+                shaker_mass=10.0 ** rng.uniform(-2.0, 0.0),
+                spring_stiffness=10.0 ** rng.uniform(2.0, 5.0),
+            )
+            for mu in mus:
+                jump = mu_hat(mu, p) / mu**3
+                lhs = np.linalg.det(_interface_system(mu, p)) * max(1.0, abs(jump))
+                lhs *= 2.0 * p.linear_density / (p.shaker_mass * mu)
+                envelope = abs(phi0(mu, l, l0)) + abs(phi1(mu, p))
+                worst = max(worst, abs(lhs - phi(mu, p)) / envelope)
+        assert worst <= 1e-8
+
     def test_finite_far_past_overflow(self, params):
         for mu in (500.0, 1e4, 1e6):
             assert math.isfinite(phi(mu, params))
@@ -193,54 +219,3 @@ class TestPhi:
         vals = phi0(mus, params.length, params.attachment_point)
         assert vals.shape == mus.shape
         assert vals[1] == phi0(1.0, params.length, params.attachment_point)
-
-
-class TestDetM3:
-    def test_nonzero_at_exact_roots(self, params):
-        for mu in EXACT_ROOTS_REF:
-            assert abs(det_M3(mu, params.length, params.attachment_point)) > 1.0
-
-    def test_midspan_closed_value(self):
-        l = 2.0
-        mu = math.pi / l
-        expected = math.sinh(math.pi) / (2.0 * mu**2)
-        assert det_M3(mu, l, l / 2) == pytest.approx(expected, rel=1e-12)
-
-    def test_small_mu_limit(self, params):
-        l, l0 = params.length, params.attachment_point
-        assert det_M3(1e-4, l, l0) == pytest.approx(l0 * l, rel=1e-6)
-        assert det_M3(1e-5, l, l0) == pytest.approx(det_M3(1e-4, l, l0), rel=1e-6)
-
-    def test_scale_positive_and_dominates(self, params):
-        l, l0 = params.length, params.attachment_point
-        for mu in (0.5, 3.0, 20.0):
-            scale = det_M3_scale(mu, l, l0)
-            assert scale > 0
-            assert abs(det_M3(mu, l, l0)) <= 4.0 * scale
-
-
-class TestEvaluate:
-    def test_forms_share_zeros(self, params, exact_roots):
-        mu = exact_roots[3].mu
-        scaled = evaluate(mu, params, FreqForm.PhiSum)
-        closed = evaluate(mu, params, FreqForm.ExactClosedForm)
-        oracle = evaluate(mu, params, FreqForm.ExactOracle4x4)
-        assert abs(scaled.value_scaled) < 1e-8
-        assert abs(closed.value_scaled) < 1e-8
-        assert abs(oracle.value_scaled) < 1e-6
-
-    def test_forms_agree_off_root(self, params):
-        mu = 3.7
-        scaled = evaluate(mu, params, FreqForm.PhiSum).value_scaled
-        closed = evaluate(mu, params, FreqForm.ExactClosedForm).value_scaled
-        assert closed == pytest.approx(scaled, rel=1e-9)
-
-    def test_truncated_form_is_phi0(self, params):
-        mu = 2.9
-        ev = evaluate(mu, params, FreqForm.TruncatedPhi0)
-        assert ev.value_scaled == phi0(mu, params.length, params.attachment_point)
-
-    def test_records_mu_and_form(self, params):
-        ev = evaluate(1.1, params, FreqForm.PhiSum)
-        assert ev.mu == 1.1
-        assert ev.form is FreqForm.PhiSum
