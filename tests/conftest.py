@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from shakerbeam import BeamParameters, Target, scan_roots
@@ -35,6 +36,27 @@ def half_params() -> BeamParameters:
 
 def default_step(params: BeamParameters) -> float:
     return math.pi / (80.0 * params.length)
+
+
+def seeded_beams(seed: int, count: int) -> list:
+    """count random beams with l in (0.5, 2.5) and l0/l in (0.1, 0.9)."""
+    rng = np.random.default_rng(seed)
+    beams = []
+    for _ in range(count):
+        l = rng.uniform(0.5, 2.5)
+        l0 = l * rng.uniform(0.1, 0.9)
+        beams.append(
+            BeamParameters(
+                youngs_modulus=10.0 ** rng.uniform(0.0, 2.0),
+                second_moment=1.0,
+                linear_density=10.0 ** rng.uniform(-1.0, 1.0),
+                length=l,
+                attachment_point=l0,
+                shaker_mass=10.0 ** rng.uniform(-2.0, 0.0),
+                spring_stiffness=10.0 ** rng.uniform(2.0, 5.0),
+            )
+        )
+    return beams
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,16 @@ own valid range:
   where it matches ``det_M_closed`` to 1e-12 of ``det_M_scale``.  It calls
   neither ``phi`` nor ``det_M_closed``.
 
+It also keeps the scalar forms of two ``shakerbeam.roots`` routines that the
+package now runs in batches, as exact references for them:
+
+* ``scan_with_suspects_scalar`` (with ``_brent``) -- the grid scan with one
+  scalar Brent refinement per bracket and a per-point suspect loop.  The
+  batched ``scan_with_suspects`` does the same arithmetic per bracket, so the
+  two must return equal ``Root`` tuples and suspects.
+* ``pair_mutual_nearest_quadratic`` -- mutual-nearest pairing by a linear
+  ``min`` search per root, O(n^2).
+
 The tests import these with ``from reference import ...``; pytest puts this
 directory on ``sys.path`` as it does for ``conftest``.
 """
@@ -35,10 +45,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from shakerbeam import BeamParameters, DomainError, mu_hat
+from shakerbeam.roots import (
+    _BRACKET_TOL,
+    _GRID_ZERO,
+    _RESIDUAL_FACTOR,
+    _SUSPECT_LEVEL,
+    ConfigurationError,
+    Root,
+    Target,
+    _target_fn,
+)
 
 # cosh overflows double just above exp(710); stay below with margin
 _CLOSED_MAX_MUL = 690.0
@@ -198,3 +219,179 @@ def _folded_krylov(mu: float, x: float) -> tuple:
         (ch - c) / (2.0 * mu**2),
         (sh - s) / (2.0 * mu**3),
     )
+
+
+def _brent(f: Callable, a: float, fa: float, b: float, fb: float):
+    """Safeguarded Brent: bisection fallback, inverse-quadratic/secant steps.
+
+    Returns (root, f(root), iterations, bracket).  Iterates until the bracket
+    is below _BRACKET_TOL, then reports the best function value seen.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    iterations = 0
+    for _ in range(200):
+        iterations += 1
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * _BRACKET_TOL + 2.0 * np.finfo(float).eps * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            break
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e = d
+                d = p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b = b + (d if abs(d) > tol else math.copysign(tol, m))
+        fb = f(b)
+        if abs(fb) < abs(best_f):
+            best_x, best_f = b, fb
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    # polish: secant through the straddling pair pushes |f| from the
+    # slope-limited ~|f'| * bracket level down to interpolation accuracy
+    for _ in range(3):
+        if fb == 0.0 or fc == 0.0 or fb == fc or b == c:
+            break
+        x = (b * fc - c * fb) / (fc - fb)
+        if not (min(b, c) < x < max(b, c)):
+            break
+        fx = f(x)
+        iterations += 1
+        if abs(fx) < abs(best_f):
+            best_x, best_f = x, fx
+        if abs(fx) >= abs(fb) and abs(fx) >= abs(fc):
+            break
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+        else:
+            c, fc = x, fx
+    lo, hi = (b, c) if b < c else (c, b)
+    # widen by one ulp so the reported root is strictly interior and the
+    # endpoints still straddle the (simple) zero
+    lo = float(np.nextafter(min(lo, best_x), -math.inf))
+    hi = float(np.nextafter(max(hi, best_x), math.inf))
+    return best_x, best_f, iterations, (lo, hi)
+
+
+def scan_with_suspects_scalar(
+    target: Target,
+    params: BeamParameters,
+    mu_min: float,
+    mu_max: float,
+    step: float,
+) -> tuple:
+    """Scan a window; return (roots, suspects).
+
+    Suspects are grid local minima of |f| below 1e-10 without a sign change --
+    near-tangent configurations that must not be silently promoted to roots.
+    """
+    if not (0.0 < mu_min < mu_max):
+        raise ConfigurationError(f"window must satisfy 0 < mu_min < mu_max, got ({mu_min}, {mu_max})")
+    if step <= 0.0:
+        raise ConfigurationError(f"step must be positive, got {step}")
+    max_step = math.pi / (4.0 * params.length)
+    if step >= max_step:
+        raise ConfigurationError(
+            f"step {step:.6g} too coarse: must be below pi/(4 l) = {max_step:.6g}"
+            " to resolve the sin(mu l) oscillation"
+        )
+    f = _target_fn(target, params)
+    n = int(math.ceil((mu_max - mu_min) / step))
+    grid = np.linspace(mu_min, mu_max, n + 1)
+    values = np.asarray(f(grid), dtype=float)
+
+    roots: list = []
+    # grid points that are numerically exact zeros: degenerate brackets
+    exact_hits = np.flatnonzero(np.abs(values) < _GRID_ZERO)
+    for i in exact_hits:
+        roots.append(
+            Root(
+                mu=float(grid[i]),
+                residual=float(values[i]),
+                bracket=(float(grid[i]), float(grid[i])),
+                iterations=0,
+                target=target,
+                degenerate=True,
+            )
+        )
+    sign = np.sign(values)
+    sign[np.abs(values) < _GRID_ZERO] = 0.0
+    crossings = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    for i in crossings:
+        x, fx, iters, bracket = _brent(
+            f, float(grid[i]), float(values[i]), float(grid[i + 1]), float(values[i + 1])
+        )
+        fscale = 1.0 + max(abs(float(values[i])), abs(float(values[i + 1])))
+        if abs(fx) > _RESIDUAL_FACTOR * fscale:
+            continue  # refinement failed to meet the residual contract: not a root
+        roots.append(
+            Root(mu=float(x), residual=float(fx), bracket=bracket, iterations=iters, target=target)
+        )
+    roots.sort(key=lambda r: r.mu)
+    # merge duplicates (a degenerate grid hit adjacent to a refined bracket)
+    deduped: list = []
+    for r in roots:
+        if deduped and abs(r.mu - deduped[-1].mu) < 10.0 * _BRACKET_TOL:
+            if deduped[-1].degenerate and not r.degenerate:
+                deduped[-1] = r
+            continue
+        deduped.append(r)
+
+    suspects: list = []
+    absv = np.abs(values)
+    for i in range(1, len(grid) - 1):
+        if (
+            absv[i] < _SUSPECT_LEVEL
+            and absv[i] <= absv[i - 1]
+            and absv[i] <= absv[i + 1]
+            and sign[i - 1] * sign[i + 1] > 0.0
+            and absv[i] >= _GRID_ZERO
+        ):
+            suspects.append((float(grid[i]), float(values[i])))
+    return deduped, suspects
+
+
+def pair_mutual_nearest_quadratic(exact: list, truncated: list) -> list:
+    """Mutual nearest-neighbour pairing of two sorted root lists.
+
+    Returns rows (exact_mu or None, truncated_mu or None, status-string) --
+    exact-bearing rows first in mu order, then leftover truncated roots.
+    """
+
+    def nearest(x, pool):
+        return min(pool, key=lambda y: abs(y - x)) if pool else None
+
+    rows = []
+    used_truncated = set()
+    for m in exact:
+        t = nearest(m, truncated)
+        if t is not None and nearest(t, exact) == m:
+            rows.append((m, t, "paired"))
+            used_truncated.add(t)
+        else:
+            rows.append((m, None, "exact_only"))
+    for t in truncated:
+        if t not in used_truncated:
+            rows.append((None, t, "truncated_only"))
+    return rows

@@ -20,6 +20,7 @@ from shakerbeam import (
     phi1,
 )
 from shakerbeam.modes import _interface_system
+from conftest import seeded_beams
 from reference import (
     RangeError,
     det_M_closed,
@@ -146,21 +147,10 @@ class TestPhi:
         # The two production forms of the interface problem, phi for the roots
         # and the scaled 4x4 system for the modes, agree far past the range of
         # the unscaled references: det(H) max(1, |jump|) 2 rho / (m mu) = phi.
-        rng = np.random.default_rng(20260815)
         mus = np.geomspace(0.1, 1e5, 600)
         worst = 0.0
-        for _ in range(20):
-            l = rng.uniform(0.5, 2.5)
-            l0 = l * rng.uniform(0.1, 0.9)
-            p = BeamParameters(
-                youngs_modulus=10.0 ** rng.uniform(0.0, 2.0),
-                second_moment=1.0,
-                linear_density=10.0 ** rng.uniform(-1.0, 1.0),
-                length=l,
-                attachment_point=l0,
-                shaker_mass=10.0 ** rng.uniform(-2.0, 0.0),
-                spring_stiffness=10.0 ** rng.uniform(2.0, 5.0),
-            )
+        for p in seeded_beams(20260815, 20):
+            l, l0 = p.length, p.attachment_point
             for mu in mus:
                 jump = mu_hat(mu, p) / mu**3
                 lhs = np.linalg.det(_interface_system(mu, p)) * max(1.0, abs(jump))

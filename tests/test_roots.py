@@ -1,7 +1,10 @@
 """Root scanning, bracket refinement, closed-form midspan roots, and the
 asymptotic localization check."""
 
+import dataclasses
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from shakerbeam import (
     scan_with_suspects,
     verify_localization,
 )
-from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, default_step
+from shakerbeam.roots import _refine_brackets
+from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, default_step, seeded_beams
+from reference import _brent, pair_mutual_nearest_quadratic, scan_with_suspects_scalar
 
 
 class TestScan:
@@ -88,6 +93,68 @@ class TestScan:
         for r in degenerate:
             assert abs(r.residual) < 1e-13
             assert r.bracket == (r.mu, r.mu)
+
+
+def _awkward(x):
+    """A piecewise test function with an exact zero at 0.5, a pole at 15, a
+    jump at 25.3 and a flat triple root at 35.1."""
+    return np.where(
+        x < 10.0,
+        x - 0.5,
+        np.where(
+            x < 20.0,
+            np.tan(x - 15.0 + math.pi / 2.0),
+            np.where(x < 30.0, np.sign(x - 25.3), (x - 35.1) ** 3),
+        ),
+    )
+
+
+# sign-changing brackets of _awkward; the pole's is later rejected by the
+# residual contract, but its refinement must still match
+_AWKWARD_BRACKETS = (
+    np.array([0.0, 0.25, 14.5, 24.0, 33.0, 35.0]),
+    np.array([1.0, 0.6, 15.5, 26.0, 36.0, 35.2]),
+)
+
+
+class TestBatchedRefinement:
+    """The lockstep refinement against the scalar Brent it replaced."""
+
+    def test_scan_equals_scalar_reference(self, half_params):
+        # the same arithmetic per bracket: equal Root tuples and suspects, not
+        # just close ones
+        windows = [(0.1, 38.5), (0.1, 1000.0), (15.0, 1000.35), (450.0, 500.0)]
+        for beam in seeded_beams(20261018, 20):
+            step = default_step(beam)
+            for target in Target:
+                for lo, hi in windows:
+                    assert scan_with_suspects(target, beam, lo, hi, step) == (
+                        scan_with_suspects_scalar(target, beam, lo, hi, step)
+                    )
+        # midspan phi0 with 2 pi / l on the grid: a degenerate hit to dedup
+        step = math.pi / (8.0 * half_params.length)
+        args = (Target.Phi0, half_params, step, 32.0 * step, step)
+        roots, suspects = scan_with_suspects(*args)
+        assert any(r.degenerate for r in roots)
+        assert (roots, suspects) == scan_with_suspects_scalar(*args)
+
+    def test_lanes_equal_scalar_brent(self):
+        a, b = _AWKWARD_BRACKETS
+        x, fx, iterations, lo, hi = _refine_brackets(_awkward, a, _awkward(a), b, _awkward(b))
+        for k in range(a.size):
+            fa, fb = float(_awkward(a[k])), float(_awkward(b[k]))
+            ref = _brent(lambda m: float(_awkward(m)), a[k], fa, b[k], fb)
+            assert (x[k], fx[k], iterations[k], (lo[k], hi[k])) == ref
+
+    def test_no_runtime_warnings(self, params):
+        # lanes that stopped keep being computed and masked out; the exact
+        # zero of the first awkward bracket makes them divide 0 by 0
+        a, b = _AWKWARD_BRACKETS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in Target:
+                scan_with_suspects(target, params, 0.1, 1000.0, default_step(params))
+            _refine_brackets(_awkward, a, _awkward(a), b, _awkward(b))
 
 
 class TestClosedFormHalf:
@@ -189,6 +256,56 @@ class TestVerifyLocalization:
         assert report.min_abs_phi0_complement > 0.0
         assert report.min_abs_phi0_prime_neighborhoods > 0.0
 
+    def test_matches_brute_force_to_mu_1000(self, params, monkeypatch):
+        # every anchor against every exact root, from the report's own scans
+        import shakerbeam.roots
+
+        scans = []
+
+        def recording_scan_roots(*args):
+            scans.append(scan_roots(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(shakerbeam.roots, "scan_roots", recording_scan_roots)
+        threshold, mu_max = 15.0, 1000.0
+        for ratio in np.random.default_rng(5).uniform(0.1, 0.9, 5):
+            beam = dataclasses.replace(params, attachment_point=ratio * params.length)
+            for epsilon in (0.35, 0.05):
+                scans.clear()
+                report = verify_localization(beam, epsilon, threshold, mu_max)
+                truncated, exact = ([r.mu for r in roots] for roots in scans)
+                anchors = [a for a in truncated if a > threshold]
+                exact = [m for m in exact if m > threshold]
+                pairings = []
+                for a in anchors:
+                    inside = [m for m in exact if abs(m - a) < epsilon]
+                    if not inside:
+                        pairings.append((a, None, None, PairingStatus.NoExactRootInNeighborhood))
+                        continue
+                    partner = min(inside, key=lambda m: abs(m - a))
+                    status = (
+                        PairingStatus.PairedUnique
+                        if len(inside) == 1
+                        else PairingStatus.MultipleExactRoots
+                    )
+                    pairings.append((a, partner, abs(partner - a), status))
+                strays = tuple(
+                    m
+                    for m in exact
+                    if m <= mu_max and all(abs(m - a) >= epsilon for a in anchors)
+                )
+                verdict = not strays and all(
+                    p[3] is PairingStatus.PairedUnique for p in pairings
+                )
+                got = [
+                    (p.truncated_root, p.exact_root, p.distance, p.status)
+                    for p in report.pairings
+                ]
+                assert got == pairings
+                assert report.stray_roots == strays
+                assert report.verdict is verdict
+                assert all(p.epsilon == epsilon for p in report.pairings)
+
     def test_distances_shrink_with_mu(self, params):
         report = verify_localization(params, 0.45, 12.0, 38.5)
         paired = [
@@ -236,3 +353,20 @@ class TestPairMutualNearest:
         assert rows == [(1.0, None, "exact_only")]
         rows = pair_mutual_nearest([], [2.0])
         assert rows == [(None, 2.0, "truncated_only")]
+
+    def test_matches_quadratic_reference(self):
+        rng = random.Random(20261018)
+        draws = [
+            lambda: float(rng.randint(0, 20)),  # ties at equal distance, shared values
+            lambda: rng.randint(0, 40) / 4.0,
+            lambda: rng.uniform(0.0, 10.0),
+            # seen from 1e16, neighbouring small values round to the same distance
+            lambda: rng.choice([1.0, 2.0, 3.0, 5.0, 7.0, 1e16, 1e16 + 2.0]),
+        ]
+        for k in range(2000):
+            draw = draws[k % len(draws)]
+            exact = sorted(draw() for _ in range(rng.randint(0, 12)))
+            truncated = sorted(draw() for _ in range(rng.randint(0, 12)))
+            assert pair_mutual_nearest(exact, truncated) == pair_mutual_nearest_quadratic(
+                exact, truncated
+            )
