@@ -13,7 +13,7 @@ A = a e^{-mu l0} and C = c e^{-mu (l-l0)}, so every matrix entry and every
 evaluation term stays bounded: the raw boundary-data formulation loses
 eps * e^{mu l0} to cancellation and destroys high modes.  The public fields
 still expose the end derivative data (u1 = u', u3 = u''') in the gauge
-u3(l) = 1.
+u3(l) = 1.  The L2 norm comes in closed form from the same scaled amplitudes.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
             nullspace_ratio=ratio,
         )
     amps = tuple(float(v) for v in amps)
-    p = _eval_amps(l0, mu, params, amps, 0, force_left=True)
+    p = _eval_amps(l0, mu, params, amps, 0)
     omega = to_spectral_point(mu, params).omega
     return ModeShape(
         mu=mu,
@@ -168,7 +168,7 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
     )
 
 
-def _eval_amps(x, mu, params, amps, derivative, force_left=False):
+def _eval_amps(x, mu, params, amps, derivative):
     """Evaluate the mode (or a derivative) from the scaled amplitudes.
 
     sinh(mu x) e^{-mu l0} is computed as (e^{mu(x-l0)} - e^{-mu(x+l0)})/2 --
@@ -179,21 +179,14 @@ def _eval_amps(x, mu, params, amps, derivative, force_left=False):
     l, l0 = params.length, params.attachment_point
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    left = (x <= l0) | np.full(x.shape, force_left)
+    left = x <= l0
     out = np.empty_like(x)
 
     xl = x[left]
     sh = 0.5 * (np.exp(mu * (xl - l0)) - np.exp(-mu * (xl + l0)))
     ch = 0.5 * (np.exp(mu * (xl - l0)) + np.exp(-mu * (xl + l0)))
     s, co = np.sin(mu * xl), np.cos(mu * xl)
-    if derivative == 0:
-        out[left] = a * sh + B * s
-    elif derivative == 1:
-        out[left] = mu * (a * ch + B * co)
-    elif derivative == 2:
-        out[left] = mu**2 * (a * sh - B * s)
-    else:
-        out[left] = mu**3 * (a * ch - B * co)
+    out[left] = _branch_derivative(mu, derivative, a, B, sh, ch, s, co)
 
     xr = x[~left]
     if xr.size:
@@ -201,15 +194,19 @@ def _eval_amps(x, mu, params, amps, derivative, force_left=False):
         sh = 0.5 * (np.exp(mu * (xr - l) - mu * t) - np.exp(-mu * (xr - l) - mu * t))
         ch = 0.5 * (np.exp(mu * (xr - l) - mu * t) + np.exp(-mu * (xr - l) - mu * t))
         s, co = np.sin(mu * (xr - l)), np.cos(mu * (xr - l))
-        if derivative == 0:
-            out[~left] = c * sh + D * s
-        elif derivative == 1:
-            out[~left] = mu * (c * ch + D * co)
-        elif derivative == 2:
-            out[~left] = mu**2 * (c * sh - D * s)
-        else:
-            out[~left] = mu**3 * (c * ch - D * co)
+        out[~left] = _branch_derivative(mu, derivative, c, D, sh, ch, s, co)
     return float(out[0]) if scalar else out
+
+
+def _branch_derivative(mu, derivative, p, q, sh, ch, s, co):
+    """The derivative of p sh + q s on one branch, given sh' = mu ch, s' = mu co."""
+    if derivative == 0:
+        return p * sh + q * s
+    if derivative == 1:
+        return mu * (p * ch + q * co)
+    if derivative == 2:
+        return mu**2 * (p * sh - q * s)
+    return mu**3 * (p * ch - q * co)
 
 
 def evaluate_mode(mode: ModeShape, x, derivative: int = 0):
@@ -228,32 +225,30 @@ def evaluate_mode(mode: ModeShape, x, derivative: int = 0):
     return _eval_amps(arr, mode.mu, mode.params, mode.amplitudes, derivative)
 
 
-def _branch_quadrature(mode: ModeShape, n: int) -> float:
-    """integral of u^2 over [0, l] by composite Gauss-Legendre, one panel per branch."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    total = 0.0
-    l, l0 = mode.params.length, mode.params.attachment_point
-    for lo, hi in ((0.0, l0), (l0, l)):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        xs = mid + half * nodes
-        u = evaluate_mode(mode, xs)
-        total += half * float(np.dot(weights, u * u))
-    return total
+def _branch_norm_sq(mu: float, t: float, p: float, q: float) -> float:
+    """Integral over [0, t] of (p sh(y) + q sin(mu y))^2 in closed form.
+
+    sh(y) = (e^{mu(y-t)} - e^{-mu(y+t)})/2 = sinh(mu y) e^{-mu t} is the scaled
+    hyperbolic of either branch (of the right one under y = l - x, up to sign).
+    Every term below is bounded by t or 1/mu, so the sum is finite at any mu.
+    """
+    b = mu * t
+    e2 = math.exp(-2.0 * b)
+    s, co = math.sin(b), math.cos(b)
+    sh_sh = (-math.expm1(-4.0 * b) / (2.0 * mu) - 2.0 * t * e2) / 4.0
+    sh_sin = (s - co + e2 * (s + co)) / (4.0 * mu)
+    sin_sin = t / 2.0 - math.sin(2.0 * b) / (4.0 * mu)
+    return p * p * sh_sh + 2.0 * p * q * sh_sin + q * q * sin_sin
 
 
-def normalize_L2(mode: ModeShape, quadrature_points: Optional[int] = None) -> ModeShape:
+def normalize_L2(mode: ModeShape) -> ModeShape:
     """Rescale so the L2 norm of u over [0, l] is 1, with sign u'(0) > 0.
 
-    quadrature_points is the Gauss-Legendre order per branch (>= 64); the
-    default grows with mu so the oscillatory integrand stays resolved.
+    The squared norm sums two closed-form branch integrals: O(1) at any mu.
     """
-    if quadrature_points is None:
-        quadrature_points = max(64, int(0.8 * mode.mu * mode.params.length) + 16)
-    if quadrature_points < 64:
-        raise ValidationError(
-            f"quadrature_points must be >= 64, got {quadrature_points}"
-        )
-    norm_sq = _branch_quadrature(mode, quadrature_points)
+    mu, l, l0 = mode.mu, mode.params.length, mode.params.attachment_point
+    a, B, c, D = mode.amplitudes
+    norm_sq = _branch_norm_sq(mu, l0, a, B) + _branch_norm_sq(mu, l - l0, c, D)
     if not norm_sq > 0.0 or not math.isfinite(norm_sq):
         raise DegenerateModeError(
             f"mode at mu = {mode.mu:.9g} has numerically zero norm",

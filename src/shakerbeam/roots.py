@@ -411,15 +411,18 @@ def verify_localization(
     # empirical margins: min |phi0| over the complement, min |phi0'| near anchors
     sample = np.linspace(lo, mu_max, 4001)
     in_neighborhood = np.zeros(sample.shape, dtype=bool)
-    for anchor in anchors:
-        in_neighborhood |= np.abs(sample - anchor) < epsilon
     l, l0 = params.length, params.attachment_point
+    margin_p = None
+    if anchors:
+        # a sample's nearest anchor is one of its two neighbours in the list
+        arr = np.array(anchors)
+        above = np.minimum(np.searchsorted(arr, sample), len(arr) - 1)
+        for k in (np.maximum(above - 1, 0), above):
+            in_neighborhood |= np.abs(sample - arr[k]) < epsilon
+        margin_p = float(np.min(np.abs(phi0_prime(arr, l, l0))))
     phi0_vals = np.abs(phi0(sample, l, l0))
     complement_vals = phi0_vals[(~in_neighborhood) & (sample > threshold_M)]
     margin_c = float(np.min(complement_vals)) if complement_vals.size else None
-    margin_p = None
-    if anchors:
-        margin_p = float(np.min(np.abs(phi0_prime(np.array(anchors), l, l0))))
     return LocalizationReport(
         threshold_M=threshold_M,
         epsilon=epsilon,

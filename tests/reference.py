@@ -37,6 +37,14 @@ package now runs in batches, as exact references for them:
 * ``pair_mutual_nearest_quadratic`` -- mutual-nearest pairing by a linear
   ``min`` search per root, O(n^2).
 
+and the quadrature that ``shakerbeam.normalize_L2`` replaced by a closed form:
+
+* ``_branch_quadrature`` -- the integral of u^2 over [0, l] by one
+  Gauss-Legendre panel of order n per branch.  The package used
+  n = max(64, int(0.8 mu l) + 16), which resolves the integrand; its
+  n x n eigenproblem costs about 1 s at mu ~ 451 and cannot be allocated
+  at mu ~ 1e5, so the tests use it only for mu <= 40.
+
 The tests import these with ``from reference import ...``; pytest puts this
 directory on ``sys.path`` as it does for ``conftest``.
 """
@@ -49,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from shakerbeam import BeamParameters, DomainError, mu_hat
+from shakerbeam import BeamParameters, DomainError, ModeShape, evaluate_mode, mu_hat
 from shakerbeam.roots import (
     _BRACKET_TOL,
     _GRID_ZERO,
@@ -395,3 +403,16 @@ def pair_mutual_nearest_quadratic(exact: list, truncated: list) -> list:
         if t not in used_truncated:
             rows.append((None, t, "truncated_only"))
     return rows
+
+
+def _branch_quadrature(mode: ModeShape, n: int) -> float:
+    """integral of u^2 over [0, l] by composite Gauss-Legendre, one panel per branch."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    total = 0.0
+    l, l0 = mode.params.length, mode.params.attachment_point
+    for lo, hi in ((0.0, l0), (l0, l)):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        xs = mid + half * nodes
+        u = evaluate_mode(mode, xs)
+        total += half * float(np.dot(weights, u * u))
+    return total

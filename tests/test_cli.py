@@ -216,6 +216,13 @@ class TestModesCommand:
         assert np.max(np.abs(u1 + u1[::-1])) <= 1e-6 * np.max(np.abs(u1))
         assert np.max(np.abs(u2 - u2[::-1])) <= 1e-6 * np.max(np.abs(u2))
 
+    def test_mode_above_mu_1e5(self, tmp_path):
+        argv = ["--out", str(tmp_path), "--quiet", "modes", "1"]
+        assert main(argv + ["--mu-min", "100000", "--mu-max", "100003"]) == 0
+        rows = read_csv(tmp_path / "mode_1.csv")
+        assert len(rows) == 401
+        assert all(math.isfinite(float(r["x"])) and math.isfinite(float(r["u"])) for r in rows)
+
     def test_degenerate_mode_exits_5(self, tmp_path, monkeypatch):
         from shakerbeam.modes import DegenerateModeError
 

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,8 @@ from shakerbeam import (
     solve_mode,
     to_spectral_point,
 )
+from conftest import default_step, seeded_beams
+from reference import _branch_quadrature
 
 
 def sign_changes(values: np.ndarray) -> int:
@@ -93,8 +96,7 @@ class TestSolveMode:
             assert 0.0 <= mode.nullspace_ratio <= 1e-6
 
     def test_fields_finite_past_sinh_overflow(self, params):
-        # At mu l > 710 sinh(mu l) overflows; no field of the mode may depend
-        # on it.  The mode is not normalized: quadrature at this order is slow.
+        # At mu l > 710 sinh(mu l) overflows; no field of the mode may depend on it.
         roots = scan_roots(Target.Phi, params, 440.0, 460.0, math.pi / (80.0 * params.length))
         root = min(roots, key=lambda r: abs(r.mu - 448.43))
         with warnings.catch_warnings():
@@ -152,6 +154,16 @@ class TestEvaluateMode:
         for x, v in zip(xs, arr):
             assert evaluate_mode(modes[2], float(x)) == v
 
+    def test_derivatives_match_central_differences(self, params, modes):
+        xs = np.array([0.3, 0.9, 1.2, 1.55, 1.8])  # both sides of l0 = 1.4
+        for mode in modes[::3]:
+            h = 1e-4 / mode.mu
+            scale = np.max(np.abs(evaluate_mode(mode, xs)))
+            for der in (0, 1, 2):
+                slope = (evaluate_mode(mode, xs + h, der) - evaluate_mode(mode, xs - h, der)) / (2 * h)
+                exact = evaluate_mode(mode, xs, der + 1)
+                assert np.max(np.abs(slope - exact)) < 1e-6 * scale * mode.mu ** (der + 1)
+
     def test_branch_continuity_at_attachment(self, params, modes):
         l0 = params.attachment_point
         for mode in modes[::5]:
@@ -192,15 +204,92 @@ class TestNormalize:
             normed = normalize_L2(mode)
             assert evaluate_mode(normed, 0.0, 1) > 0.0
 
-    def test_rejects_too_few_quadrature_points(self, modes):
-        with pytest.raises(ValidationError, match="64"):
-            normalize_L2(modes[0], quadrature_points=32)
-
     def test_records_normalization_factor(self, modes):
         normed = normalize_L2(modes[0])
         assert normed.normalization is not None
         assert normed.normalization > 0.0
         assert normed.sign_convention in (-1.0, 1.0)
+
+
+def mode_near(params, mu):
+    """The exact-equation mode at the first root in [mu, mu + 3)."""
+    roots = scan_roots(Target.Phi, params, mu, mu + 3.0, default_step(params))
+    return solve_mode(roots[0], params)
+
+
+def mp_norm_sq(mode):
+    """The closed-form branch integrals of u^2 in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(mode.mu)
+        l, l0 = mpmath.mpf(mode.params.length), mpmath.mpf(mode.params.attachment_point)
+        a, B, c, D = (mpmath.mpf(v) for v in mode.amplitudes)
+        total = mpmath.mpf(0)
+        for t, p, q in ((l0, a, B), (l - l0, c, D)):
+            b = mu * t
+            e2 = mpmath.exp(-2 * b)
+            sh_sh = (-mpmath.expm1(-4 * b) / (2 * mu) - 2 * t * e2) / 4
+            sh_sin = (mpmath.sin(b) - mpmath.cos(b) + e2 * (mpmath.sin(b) + mpmath.cos(b))) / (4 * mu)
+            sin_sin = t / 2 - mpmath.sin(2 * b) / (4 * mu)
+            total += p * p * sh_sh + 2 * p * q * sh_sin + q * q * sin_sin
+        return total
+
+
+class TestClosedFormNorm:
+    """normalize_L2 integrates u^2 in closed form; these tie it to quadrature."""
+
+    def assert_matches_quadrature(self, params, mu_max):
+        roots = scan_roots(Target.Phi, params, 0.1, mu_max, default_step(params))
+        assert roots
+        for root in roots:
+            normed = normalize_L2(solve_mode(root, params))
+            n = max(64, int(0.8 * normed.mu * params.length) + 16)
+            assert abs(_branch_quadrature(normed, n) - 1.0) < 1e-12
+
+    def test_matches_quadrature_on_shipped_configs(self, params, half_params):
+        for beam in (params, half_params):
+            self.assert_matches_quadrature(beam, 40.0)
+
+    def test_matches_quadrature_near_the_ends(self):
+        # small mu t on the short branch is where the sh^2 integral cancels
+        rng = np.random.default_rng(20261019)
+        for beam in seeded_beams(20261019, 12):
+            ratio = rng.uniform(0.05, 0.95)
+            beam = dataclasses.replace(beam, attachment_point=ratio * beam.length)
+            self.assert_matches_quadrature(beam, 40.0)
+
+    def test_matches_mpmath_quadrature_at_mu_1000(self, params):
+        normed = normalize_L2(mode_near(params, 1000.0))
+        mu = mpmath.mpf(normed.mu)
+        l, l0 = params.length, params.attachment_point
+        a, B, c, D = normed.amplitudes
+        total = mpmath.mpf(0)
+        with mpmath.workdps(20):
+            # the right branch under y = l - x is minus the left-branch form
+            for t, p, q in ((l0, a, B), (l - l0, c, D)):
+                t = mpmath.mpf(t)
+
+                def u(y):
+                    sh = (mpmath.exp(mu * (y - t)) - mpmath.exp(-mu * (y + t))) / 2
+                    return (p * sh + q * mpmath.sin(mu * y)) ** 2
+
+                # panels of a quarter period resolve the oscillation
+                panels = 2 * int(mu * t / mpmath.pi) + 2
+                total += mpmath.quad(u, mpmath.linspace(0, t, panels + 1), method="gauss-legendre")
+        assert abs(float(total) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("mu", [451.0, 1e3, 1e5, 1e6])
+    def test_unit_norm_and_finite_fields_at_high_mu(self, params, mu):
+        normed = normalize_L2(mode_near(params, mu))
+        assert abs(float(mpmath.sqrt(mp_norm_sq(normed))) - 1.0) < 1e-12
+        fields = (
+            normed.mu,
+            *normed.amplitudes,
+            *normed.boundary_values,
+            *normed.attachment,
+            normed.nullspace_ratio,
+            normed.normalization,
+        )
+        assert all(math.isfinite(v) for v in fields)
 
 
 class TestFullState:

@@ -305,6 +305,12 @@ class TestVerifyLocalization:
                 assert report.stray_roots == strays
                 assert report.verdict is verdict
                 assert all(p.epsilon == epsilon for p in report.pairings)
+                sample = np.linspace(threshold, mu_max, 4001)
+                outside = sample > threshold
+                for a in anchors:
+                    outside &= np.abs(sample - a) >= epsilon
+                margin = np.min(np.abs(phi0(sample, beam.length, beam.attachment_point))[outside])
+                assert report.min_abs_phi0_complement == margin
 
     def test_distances_shrink_with_mu(self, params):
         report = verify_localization(params, 0.45, 12.0, 38.5)
