@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import BeamParameters, ValidationError, to_spectral_point, validate_parameters
-from .freqeq import phi
 from .modes import DegenerateModeError, evaluate_mode, normalize_L2, solve_mode
 from .roots import (
     ConfigurationError,
@@ -55,15 +55,20 @@ _DEFAULT_RAW_PARAMS = {
 }
 
 _PARAM_KEYS = set(_DEFAULT_RAW_PARAMS) | {"rho"}
-_SCALAR_KEYS = {
-    "mu_min": float,
-    "mu_max": float,
-    "step": float,
-    "epsilon": float,
-    "threshold_M": float,
-    "n_roots": int,
-    "mode_samples": int,
-    "out": str,
+
+# key -> (type, subcommand flag or None, help).  A config file may set every
+# key; l0 is a beam parameter, so a file gives it with a unit, as above.  The
+# global --out flag, not a subcommand flag, sets out.
+_SETTINGS = {
+    "l0": (float, "--l0", "attachment point override [m]"),
+    "n_roots": (int, "--n-roots", "target exact-root count"),
+    "mu_min": (float, "--mu-min", "window lower edge [1/m]"),
+    "mu_max": (float, "--mu-max", "window upper edge [1/m]"),
+    "step": (float, "--step", "scan step override [1/m]"),
+    "epsilon": (float, "--epsilon", "localization neighborhood radius [1/m]"),
+    "threshold_M": (float, "--threshold", "localization threshold M [1/m]"),
+    "mode_samples": (int, None, "points per sampled mode"),
+    "out": (str, None, "output directory (default: out)"),
 }
 
 
@@ -117,33 +122,21 @@ def load_config(
     """Resolve built-in defaults, an optional config file, and flag overrides."""
     raw_params = dict(_DEFAULT_RAW_PARAMS)
     scalars: dict = {}
-    if config_path is not None:
-        file_entries = _parse_config_file(config_path)
-        if "rho" in file_entries:
-            raw_params.pop("rho0", None)
-            raw_params.pop("section_area", None)
-        for key, value in file_entries.items():
-            if key in _PARAM_KEYS:
-                raw_params[key] = value
-            elif key in _SCALAR_KEYS:
-                try:
-                    scalars[key] = _SCALAR_KEYS[key](value)
-                except ValueError:
-                    raise ConfigurationError(f"config key {key!r}: bad value {value!r}") from None
-            else:
-                raise ConfigurationError(f"unknown config key {key!r}")
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
+    file_entries = _parse_config_file(config_path) if config_path is not None else {}
+    for key, value in file_entries.items():
         if key in _PARAM_KEYS:
             raw_params[key] = value
+        elif key in _SETTINGS:
+            try:
+                scalars[key] = _SETTINGS[key][0](value)
+            except ValueError:
+                raise ConfigurationError(f"config key {key!r}: bad value {value!r}") from None
         else:
-            scalars[key] = value
-    if "rho" in raw_params:
-        raw_params.pop("rho0", None)
-        raw_params.pop("section_area", None)
-    params = validate_parameters(raw_params)
-    return RunConfig(params=params, quiet=quiet, **scalars)
+            raise ConfigurationError(f"unknown config key {key!r}")
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            (raw_params if key in _PARAM_KEYS else scalars)[key] = value
+    return RunConfig(params=validate_parameters(raw_params), quiet=quiet, **scalars)
 
 
 def fmt9(value) -> str:
@@ -155,88 +148,74 @@ def _round9(value: Optional[float]):
     return None if value is None else float(fmt9(value))
 
 
-class SvgPlot:
-    """Minimal deterministic SVG writer: axes, polylines, markers, legend."""
+def _svg(title: str, xlabel: str, ylabel: str, series) -> str:
+    """Deterministic SVG plot: axes, then one polyline or marker set per
+    (kind, xs, ys, label, color) series with kind "line" or "points", then a legend."""
+    m, w, h = 60, 720, 480
+    series = [
+        (kind, np.asarray(xs, float), np.asarray(ys, float), label, color)
+        for kind, xs, ys, label, color in series
+    ]
+    all_x = np.concatenate([s[1] for s in series if s[1].size])
+    all_y = np.concatenate([s[2] for s in series if s[2].size])
+    x0, x1 = float(all_x.min()), float(all_x.max())
+    y0, y1 = float(all_y.min()), float(all_y.max())
+    if x1 - x0 < 1e-12:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y1 - y0 < 1e-12:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    pad_x, pad_y = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
+    x0, x1, y0, y1 = x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
 
-    def __init__(self, title: str, xlabel: str, ylabel: str, width=720, height=480):
-        self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
-        self.width, self.height = width, height
-        self.margin = 60
-        self.series: list = []
+    def px(x):
+        return m + (x - x0) / (x1 - x0) * (w - 2 * m)
 
-    def add_line(self, xs, ys, label: str, color: str):
-        self.series.append(("line", np.asarray(xs, float), np.asarray(ys, float), label, color))
+    def py(y):
+        return h - m - (y - y0) / (y1 - y0) * (h - 2 * m)
 
-    def add_points(self, xs, ys, label: str, color: str):
-        self.series.append(("points", np.asarray(xs, float), np.asarray(ys, float), label, color))
-
-    def _ranges(self):
-        xs = np.concatenate([s[1] for s in self.series if s[1].size])
-        ys = np.concatenate([s[2] for s in self.series if s[2].size])
-        x0, x1 = float(xs.min()), float(xs.max())
-        y0, y1 = float(ys.min()), float(ys.max())
-        if x1 - x0 < 1e-12:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 - y0 < 1e-12:
-            y0, y1 = y0 - 0.5, y1 + 0.5
-        pad_x, pad_y = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
-        return x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
-
-    def render(self) -> str:
-        m, w, h = self.margin, self.width, self.height
-        x0, x1, y0, y1 = self._ranges()
-
-        def px(x):
-            return m + (x - x0) / (x1 - x0) * (w - 2 * m)
-
-        def py(y):
-            return h - m - (y - y0) / (y1 - y0) * (h - 2 * m)
-
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-            f'viewBox="0 0 {w} {h}">',
-            f'<rect width="{w}" height="{h}" fill="white"/>',
-            f'<text x="{w / 2:.1f}" y="24" text-anchor="middle" font-size="16">{self.title}</text>',
-            f'<text x="{w / 2:.1f}" y="{h - 12}" text-anchor="middle" font-size="13">{self.xlabel}</text>',
-            f'<text x="16" y="{h / 2:.1f}" text-anchor="middle" font-size="13" '
-            f'transform="rotate(-90 16 {h / 2:.1f})">{self.ylabel}</text>',
-            f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
-            f'fill="none" stroke="black" stroke-width="1"/>',
-        ]
-        for i in range(5):
-            tx = x0 + (x1 - x0) * i / 4
-            ty = y0 + (y1 - y0) * i / 4
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<text x="{w / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{w / 2:.1f}" y="{h - 12}" text-anchor="middle" font-size="13">{xlabel}</text>',
+        f'<text x="16" y="{h / 2:.1f}" text-anchor="middle" font-size="13" '
+        f'transform="rotate(-90 16 {h / 2:.1f})">{ylabel}</text>',
+        f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
+        f'fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    for i in range(5):
+        tx = x0 + (x1 - x0) * i / 4
+        ty = y0 + (y1 - y0) * i / 4
+        parts.append(
+            f'<line x1="{px(tx):.2f}" y1="{h - m}" x2="{px(tx):.2f}" y2="{h - m + 5}" stroke="black"/>'
+            f'<text x="{px(tx):.2f}" y="{h - m + 18}" text-anchor="middle" font-size="11">{tx:.4g}</text>'
+        )
+        parts.append(
+            f'<line x1="{m - 5}" y1="{py(ty):.2f}" x2="{m}" y2="{py(ty):.2f}" stroke="black"/>'
+            f'<text x="{m - 8}" y="{py(ty):.2f}" text-anchor="end" dominant-baseline="middle" '
+            f'font-size="11">{ty:.4g}</text>'
+        )
+    for kind, xs, ys, label, color in series:
+        if kind == "line":
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
             parts.append(
-                f'<line x1="{px(tx):.2f}" y1="{h - m}" x2="{px(tx):.2f}" y2="{h - m + 5}" stroke="black"/>'
-                f'<text x="{px(tx):.2f}" y="{h - m + 18}" text-anchor="middle" font-size="11">{tx:.4g}</text>'
+                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
-            parts.append(
-                f'<line x1="{m - 5}" y1="{py(ty):.2f}" x2="{m}" y2="{py(ty):.2f}" stroke="black"/>'
-                f'<text x="{m - 8}" y="{py(ty):.2f}" text-anchor="end" dominant-baseline="middle" '
-                f'font-size="11">{ty:.4g}</text>'
-            )
-        for kind, xs, ys, label, color in self.series:
-            if kind == "line":
-                pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-                parts.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-                )
-            else:
-                for x, y in zip(xs, ys):
-                    parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
-        for i, (_, _, _, label, color) in enumerate(self.series):
-            ly = m + 16 + 16 * i
-            parts.append(
-                f'<rect x="{w - m - 130}" y="{ly - 9}" width="12" height="12" fill="{color}"/>'
-                f'<text x="{w - m - 112}" y="{ly}" font-size="12" dominant-baseline="middle">{label}</text>'
-            )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+        else:
+            for x, y in zip(xs, ys):
+                parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
+    for i, (_, _, _, label, color) in enumerate(series):
+        ly = m + 16 + 16 * i
+        parts.append(
+            f'<rect x="{w - m - 130}" y="{ly - 9}" width="12" height="12" fill="{color}"/>'
+            f'<text x="{w - m - 112}" y="{ly}" font-size="12" dominant-baseline="middle">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _write_text(out_dir, name: str, text: str) -> None:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -271,9 +250,14 @@ def _resolve_window(config: RunConfig):
     )
 
 
-def cmd_roots(config: RunConfig) -> int:
+def _scan_pair(config: RunConfig):
+    """Return (exact_roots, truncated_roots) over the resolved window."""
     lo, hi, exact = _resolve_window(config)
-    truncated = scan_roots(Target.Phi0, config.params, lo, hi, config.scan_step)
+    return exact, scan_roots(Target.Phi0, config.params, lo, hi, config.scan_step)
+
+
+def cmd_roots(config: RunConfig) -> int:
+    exact, truncated = _scan_pair(config)
     if not exact and not truncated:
         print("no roots found in the requested window", file=sys.stderr)
         return EXIT_NO_ROOTS
@@ -338,7 +322,7 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
-def cmd_modes(config: RunConfig, indices) -> int:
+def cmd_modes(config: RunConfig, *indices: int) -> int:
     lo, hi, exact = _resolve_window(config)
     if not exact:
         print("no roots found in the requested window", file=sys.stderr)
@@ -348,23 +332,22 @@ def cmd_modes(config: RunConfig, indices) -> int:
         raise ConfigurationError(
             f"mode index(es) {bad} outside the computed root list (1..{len(exact)})"
         )
-    plot = SvgPlot("Normalized eigenmodes", "x [m]", "u(x)")
+    series = []
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     xs = np.linspace(0.0, config.params.length, config.mode_samples)
     for k, j in enumerate(indices):
         mode = normalize_L2(solve_mode(exact[j - 1], config.params))
         u = evaluate_mode(mode, xs)
         _write_text(config.out, f"mode_{j}.csv", _csv(zip(xs, u), ("x", "u")))
-        plot.add_line(xs, u, f"mode {j} (mu={mode.mu:.4f})", colors[k % len(colors)])
-    _write_text(config.out, "modes.svg", plot.render())
+        series.append(("line", xs, u, f"mode {j} (mu={mode.mu:.4f})", colors[k % len(colors)]))
+    _write_text(config.out, "modes.svg", _svg("Normalized eigenmodes", "x [m]", "u(x)", series))
     if not config.quiet:
         print(f"wrote {config.out}/modes.svg and {len(indices)} mode CSVs")
     return EXIT_OK
 
 
 def cmd_growth(config: RunConfig) -> int:
-    lo, hi, exact = _resolve_window(config)
-    truncated = scan_roots(Target.Phi0, config.params, lo, hi, config.scan_step)
+    exact, truncated = _scan_pair(config)
     if not exact and not truncated:
         print("no roots found in the requested window", file=sys.stderr)
         return EXIT_NO_ROOTS
@@ -375,57 +358,49 @@ def cmd_growth(config: RunConfig) -> int:
         mu_t = truncated[i].mu if i < len(truncated) else None
         rows.append((str(i + 1), mu_e, mu_t))
     _write_text(config.out, "growth.csv", _csv(rows, ("j", "mu", "mu_bar")))
-    plot = SvgPlot("Spectral parameter growth", "j", "mu [1/m]")
+    series = []
     if exact:
-        plot.add_points(range(1, len(exact) + 1), [r.mu for r in exact], "exact", "#1f77b4")
+        series.append(("points", range(1, len(exact) + 1), [r.mu for r in exact], "exact", "#1f77b4"))
     if truncated:
-        plot.add_points(
-            range(1, len(truncated) + 1), [r.mu for r in truncated], "truncated", "#d62728"
+        series.append(
+            ("points", range(1, len(truncated) + 1), [r.mu for r in truncated], "truncated", "#d62728")
         )
     l, l0 = config.params.length, config.params.attachment_point
     if truncated and abs(l - 2.0 * l0) <= 1e-12 * l:
         closed = closed_form_roots_half(l, len(truncated))
-        plot.add_line(range(1, len(closed) + 1), closed, "closed form (midspan)", "#2ca02c")
-    _write_text(config.out, "growth.svg", plot.render())
+        series.append(("line", range(1, len(closed) + 1), closed, "closed form (midspan)", "#2ca02c"))
+    _write_text(config.out, "growth.svg", _svg("Spectral parameter growth", "j", "mu [1/m]", series))
     if not config.quiet:
         print(f"wrote {config.out}/growth.csv and growth.svg ({n} indices)")
     return EXIT_OK
 
 
+_COMMANDS = {
+    "roots": (cmd_roots, "scan both characteristic equations and write the paired root table"),
+    "verify": (cmd_verify, "check the asymptotic root-localization structure"),
+    "modes": (cmd_modes, "reconstruct, normalize, sample, and plot eigenmodes"),
+    "growth": (cmd_growth, "plot spectral parameter growth vs index"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # the global flags, accepted before and after the command name; SUPPRESS
+    # keeps a pre-command value from being clobbered by the subparser default
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="flat key=value config file with unit suffixes")
+    common.add_argument("--out", help=_SETTINGS["out"][2])
+    common.add_argument("--quiet", action="store_true", help="suppress progress messages")
     parser = argparse.ArgumentParser(
         prog="shakerbeam",
         description="Eigenfrequencies and eigenmodes of a hinged beam with a mass-spring attachment",
+        parents=[common],
     )
-    parser.add_argument("--config", help="flat key=value config file with unit suffixes")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        # accept the global flags after the command name too; SUPPRESS keeps
-        # a pre-command value from being clobbered by the subparser default
-        p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        p.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        p.add_argument(
-            "--quiet", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-        )
-        p.add_argument("--l0", type=float, help="attachment point override [m]")
-        p.add_argument("--n-roots", type=int, dest="n_roots", help="target exact-root count")
-        p.add_argument("--mu-min", type=float, dest="mu_min", help="window lower edge [1/m]")
-        p.add_argument("--mu-max", type=float, dest="mu_max", help="window upper edge [1/m]")
-        p.add_argument("--step", type=float, help="scan step override [1/m]")
-        p.add_argument("--epsilon", type=float, help="localization neighborhood radius [1/m]")
-        p.add_argument("--threshold", type=float, dest="threshold_M", help="localization threshold M [1/m]")
-
-    for name, text in (
-        ("roots", "scan both characteristic equations and write the paired root table"),
-        ("verify", "check the asymptotic root-localization structure"),
-        ("modes", "reconstruct, normalize, sample, and plot eigenmodes"),
-        ("growth", "plot spectral parameter growth vs index"),
-    ):
-        p = sub.add_parser(name, help=text)
-        add_common(p)
+    for name, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, parents=[common])
+        for key, (kind, flag, help_text) in _SETTINGS.items():
+            if flag is not None:
+                p.add_argument(flag, type=kind, dest=key, help=help_text)
         if name == "modes":
             p.add_argument(
                 "indices",
@@ -438,26 +413,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        overrides = {
-            key: getattr(args, key, None)
-            for key in ("l0", "n_roots", "mu_min", "mu_max", "step", "epsilon", "threshold_M")
-        }
-        if args.out is not None:
-            overrides["out"] = args.out
-        config = load_config(args.config, overrides, quiet=args.quiet)
-        if args.command == "roots":
-            return cmd_roots(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "modes":
-            return cmd_modes(config, args.indices)
-        return cmd_growth(config)
+        overrides = {key: args.get(key) for key in _SETTINGS}
+        config = load_config(args.get("config"), overrides, quiet=args.get("quiet", False))
+        run = _COMMANDS[args["command"]][0]
+        return run(config, *args.get("indices", ()))
     except (ValidationError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -154,8 +154,7 @@ def validate_parameters(raw: dict) -> BeamParameters:
     ``rho0`` (volumetric density) and ``section_area``.  Values may be numbers
     (assumed SI) or strings with unit suffixes, e.g. ``"7 N/mm"``.
     """
-    known = {"E", "I", "rho", "rho0", "section_area", "l", "l0", "m", "kappa"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_FIELD_DIMS)
     if unknown:
         raise ValidationError(f"unknown parameter(s): {sorted(unknown)}")
 

@@ -227,6 +227,8 @@ def scan_with_suspects(
     """
     if not (0.0 < mu_min < mu_max):
         raise ConfigurationError(f"window must satisfy 0 < mu_min < mu_max, got ({mu_min}, {mu_max})")
+    if not (math.isfinite(mu_max) and math.isfinite(step)):
+        raise ConfigurationError(f"window and step must be finite, got mu_max={mu_max}, step={step}")
     if step <= 0.0:
         raise ConfigurationError(f"step must be positive, got {step}")
     max_step = math.pi / (4.0 * params.length)
@@ -349,6 +351,8 @@ def verify_localization(
     """
     if epsilon <= 0.0:
         raise LocalizationPreconditionError(f"epsilon must be positive, got {epsilon}")
+    if not math.isfinite(epsilon):
+        raise LocalizationPreconditionError(f"epsilon must be finite, got {epsilon}")
     rational = detect_rational_ratio(params.length, params.attachment_point)
     if threshold_M >= mu_max:
         return LocalizationReport(

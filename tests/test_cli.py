@@ -87,6 +87,63 @@ class TestConfig:
     def test_bad_window_exits_1(self, tmp_path):
         assert main(["--out", str(tmp_path), "roots", "--mu-min", "5", "--mu-max", "2"]) == 1
 
+    def test_direct_rho_wins_over_malformed_composite(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("rho = 0.6075 kg/m\nrho0 = 12 parsecs\n")
+        assert load_config(str(path)).params.linear_density == pytest.approx(0.6075)
+
+    # a value off the default for every setting that has a flag
+    FLAG_VALUES = {
+        "l0": "0.9",
+        "n_roots": "3",
+        "mu_min": "0.5",
+        "mu_max": "20",
+        "step": "0.01",
+        "epsilon": "0.2",
+        "threshold_M": "12",
+    }
+
+    def test_every_flag_has_a_value_here(self):
+        flagged = {key for key, (_, flag, _) in cli._SETTINGS.items() if flag is not None}
+        assert flagged == set(self.FLAG_VALUES)
+
+    @pytest.mark.parametrize("key", sorted(FLAG_VALUES))
+    def test_flag_and_config_key_agree(self, key, tmp_path, monkeypatch):
+        flag, value = cli._SETTINGS[key][1], self.FLAG_VALUES[key]
+        seen = []
+
+        def recording_load_config(*args, **kwargs):
+            seen.append(load_config(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "load_config", recording_load_config)
+        assert main(["--out", str(tmp_path), "--quiet", "roots", flag, value]) == 0
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {value}\nout = {tmp_path}\n")
+        from_file = load_config(str(path), quiet=True)
+        assert seen == [from_file]
+        assert from_file != load_config(overrides={"out": str(tmp_path)}, quiet=True)
+
+    def test_mode_samples_is_file_only(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("mode_samples = 51\n")
+        assert load_config(str(path)).mode_samples == 51
+        assert main(["--out", str(tmp_path), "modes", "--mode-samples", "51"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["roots", "--mu-max", "inf"], 1),
+            (["verify", "--mu-max", "inf"], 1),
+            (["roots", "--step", "nan"], 1),
+            (["verify", "--epsilon", "nan"], 4),
+        ],
+    )
+    def test_non_finite_setting_exits_without_traceback(self, argv, code, tmp_path, capfd):
+        assert main(["--out", str(tmp_path), "--quiet", *argv]) == code
+        err = capfd.readouterr().err
+        assert err and "Traceback" not in err
+
 
 class TestRootsCommand:
     def test_default_table_layout(self, tmp_path):
@@ -122,6 +179,15 @@ class TestRootsCommand:
         assert main(["--out", str(out_a), "--quiet", "roots"]) == 0
         assert main(["roots", "--out", str(out_b), "--quiet"]) == 0
         assert (out_a / "roots.csv").read_bytes() == (out_b / "roots.csv").read_bytes()
+
+    def test_config_accepted_after_command(self, tmp_path, half_cfg):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["--config", half_cfg, "--out", str(out_a), "--quiet", "roots"]) == 0
+        assert main(["roots", "--config", half_cfg, "--out", str(out_b), "--quiet"]) == 0
+        assert main(["roots", "--out", str(tmp_path / "c"), "--quiet"]) == 0
+        table = (out_b / "roots.csv").read_bytes()
+        assert table == (out_a / "roots.csv").read_bytes()
+        assert table != (tmp_path / "c" / "roots.csv").read_bytes()
 
     def test_runs_are_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
-"""Krylov fundamental solutions, parameter validation, and unit handling."""
+"""Krylov fundamental solutions, parameter validation, unit handling, and the
+package's public names."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shakerbeam
 from shakerbeam import (
     BeamParameters,
     DomainError,
@@ -158,3 +160,23 @@ class TestSpectralPoint:
     def test_rejects_nonpositive_mu(self, params):
         with pytest.raises(DomainError):
             to_spectral_point(-1.0, params)
+
+
+class TestPublicNames:
+    NAMES = [
+        "BeamParameters", "ConfigurationError", "DegenerateModeError", "DomainError",
+        "LocalizationPreconditionError", "LocalizationReport", "ModeShape", "PairingStatus",
+        "Root", "RootPairing", "SpectralPoint", "Target", "ValidationError",
+        "closed_form_roots_half", "detect_rational_ratio", "evaluate_mode", "full_state",
+        "mu_hat", "normalize_L2", "pair_mutual_nearest", "phi", "phi0", "phi0_prime", "phi1",
+        "scan_roots", "scan_with_suspects", "solve_mode", "to_spectral_point",
+        "validate_parameters", "verify_localization",
+    ]
+
+    def test_all_is_the_thirty_public_names(self):
+        assert shakerbeam.__all__ == sorted(self.NAMES)
+        assert len(set(shakerbeam.__all__)) == 30
+
+    def test_each_name_resolves(self):
+        for name in self.NAMES:
+            assert getattr(shakerbeam, name).__name__ == name

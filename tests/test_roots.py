@@ -77,6 +77,14 @@ class TestScan:
         with pytest.raises(ConfigurationError):
             scan_roots(Target.Phi, params, 5.0, 2.0, 0.01)
 
+    @pytest.mark.parametrize(
+        "mu_min, mu_max, step",
+        [(0.1, math.inf, 0.01), (0.1, math.nan, 0.01), (math.nan, 38.5, 0.01), (0.1, 38.5, math.nan)],
+    )
+    def test_non_finite_window_or_step_rejected(self, params, mu_min, mu_max, step):
+        with pytest.raises(ConfigurationError):
+            scan_with_suspects(Target.Phi, params, mu_min, mu_max, step)
+
     def test_no_suspects_for_default_beam(self, params):
         _, suspects = scan_with_suspects(Target.Phi, params, 0.1, 38.5, default_step(params))
         assert suspects == []
@@ -243,6 +251,11 @@ class TestVerifyLocalization:
     def test_nonpositive_epsilon_precondition(self, params):
         with pytest.raises(LocalizationPreconditionError):
             verify_localization(params, 0.0, 10.0, 38.5)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_non_finite_epsilon_precondition(self, params, epsilon):
+        with pytest.raises(LocalizationPreconditionError):
+            verify_localization(params, epsilon, 10.0, 38.5)
 
     def test_threshold_past_window_vacuous(self, params):
         report = verify_localization(params, 0.35, 40.0, 38.5)
