@@ -314,7 +314,8 @@ def cmd_verify(config: RunConfig) -> int:
         ],
         "stray_exact_roots": [_round9(s) for s in report.stray_roots],
     }
-    _write_text(config.out, "localization.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)  # never NaN/Infinity
+    _write_text(config.out, "localization.json", text + "\n")
     if report.warning and not config.quiet:
         print(f"warning: {report.warning}", file=sys.stderr)
     if not config.quiet:

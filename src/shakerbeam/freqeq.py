@@ -41,8 +41,13 @@ def phi0(mu, l: float, l0: float):
     Accepts any real mu (arrays allowed); roots are sought on mu > 0.
     """
     mu = np.asarray(mu, dtype=float)
-    out = 2.0 * np.sin(mu * (l - l0)) * np.sin(mu * l0) - np.sin(mu * l)
+    out = _phi0(mu, l, l0, np.sin(mu * l))
     return float(out) if out.ndim == 0 else out
+
+
+def _phi0(mu, l, l0, s):
+    """phi0 given s = sin(mu l), which phi shares with phi1."""
+    return 2.0 * np.sin(mu * (l - l0)) * np.sin(mu * l0) - s
 
 
 def phi0_prime(mu, l: float, l0: float):
@@ -64,32 +69,45 @@ def phi1(mu, params: BeamParameters):
     catastrophically for any mu > 0.
     """
     mu = np.asarray(mu, dtype=float)
+    out = _phi1(mu, params, np.sin(mu * params.length))
+    return float(out) if out.ndim == 0 else out
+
+
+def _exp_neg(x):
+    """np.exp(x) without numpy's slow underflow path: exp rounds to 0.0 for x <= -746."""
+    return np.exp(x, out=np.zeros_like(x), where=x > -746.0)
+
+
+def _phi1(mu, params, s):
+    """phi1 given s = sin(mu l); its subnormal underflow is ignored whatever
+    the caller's np.errstate, so that it gives the same result in any thread."""
     if np.any(mu <= 0.0):
         raise DomainError("mu must be positive")
     l, l0 = params.length, params.attachment_point
-    e2l = np.exp(-2.0 * mu * l)
-    e2a = np.exp(-2.0 * mu * l0)
-    e2b = np.exp(-2.0 * mu * (l - l0))
-    sh = 0.5 * (1.0 - e2l)  # sinh(mu l) e^{-mu l}
-    ch = 0.5 * (1.0 + e2l)  # cosh(mu l) e^{-mu l}
-    chd = 0.5 * (e2a + e2b)  # cosh(mu (l - 2 l0)) e^{-mu l}
-    s, c = np.sin(mu * l), np.cos(mu * l)
-    cd = np.cos(mu * (l - 2.0 * l0))
-    rho, m = params.linear_density, params.shaker_mass
-    kap, ei = params.spring_stiffness, params.flexural_rigidity
-    out = (
-        2.0 * sh * cd
-        - 2.0 * sh * c
-        - 2.0 * ch * s
-        + 2.0 * s * chd
-        + (c + s - cd)
-        - (8.0 * rho / (m * mu)) * sh * s
-        + (2.0 * kap * rho / (ei * m * mu**4)) * ((ch - chd) * s + (c - cd) * sh)
-    )
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(under="ignore"):
+        e2l, e2a, e2b = _exp_neg(np.multiply.outer((l, l0, l - l0), -2.0 * mu))
+        sh = 0.5 * (1.0 - e2l)  # sinh(mu l) e^{-mu l}
+        ch = 0.5 * (1.0 + e2l)  # cosh(mu l) e^{-mu l}
+        chd = 0.5 * (e2a + e2b)  # cosh(mu (l - 2 l0)) e^{-mu l}
+        c = np.cos(mu * l)
+        cd = np.cos(mu * (l - 2.0 * l0))
+        rho, m = params.linear_density, params.shaker_mass
+        kap, ei = params.spring_stiffness, params.flexural_rigidity
+        return (
+            2.0 * sh * cd
+            - 2.0 * sh * c
+            - 2.0 * ch * s
+            + 2.0 * s * chd
+            + (c + s - cd)
+            - (8.0 * rho / (m * mu)) * sh * s
+            + (2.0 * kap * rho / (ei * m * mu**4)) * ((ch - chd) * s + (c - cd) * sh)
+        )
 
 
 def phi(mu, params: BeamParameters):
     """Scaled characteristic function phi0 + phi1; its positive zeros are
     exactly the positive zeros of det M."""
-    return phi0(mu, params.length, params.attachment_point) + phi1(mu, params)
+    mu = np.asarray(mu, dtype=float)
+    s = np.sin(mu * params.length)
+    out = _phi0(mu, params.length, params.attachment_point, s) + _phi1(mu, params, s)
+    return float(out) if out.ndim == 0 else out

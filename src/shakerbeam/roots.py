@@ -16,6 +16,8 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -45,6 +47,8 @@ _BRACKET_TOL = 1e-10
 _RESIDUAL_FACTOR = 1e-9
 _GRID_ZERO = 1e-13
 _SUSPECT_LEVEL = 1e-10
+_BLOCK = 2**13  # grid points per scan block: fits the cache, amortizes numpy calls
+_MU_MAX = 1e6  # window limit, the range phi is tested on; scans may end 0.1% past it
 
 
 class ConfigurationError(ValueError):
@@ -213,6 +217,68 @@ def _refine_brackets(f: Callable, a, fa, b, fb):
     return best_x, best_f, iterations, lo, hi
 
 
+_pool = None  # the scan's ThreadPoolExecutor, created on first use
+_pool_lock = threading.Lock()
+# a forked child has none of the parent's threads: it builds its own pool
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _pool_lock=threading.Lock()))
+
+
+def _map_blocks(reduce: Callable, n: int):
+    """reduce(i0) for the start i0 of each block of the n + 1 grid points, in order:
+    in the calling thread if there is one block or one CPU, else on the thread
+    pool with at most two blocks per worker pending."""
+    global _pool
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if workers < 2 or n + 1 <= _BLOCK:
+        yield from map(reduce, range(0, n + 1, _BLOCK))
+        return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # imports logging: ~10 ms
+
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="shakerbeam-scan")
+    pending: list = []
+    try:
+        for i0 in range(0, n + 1, _BLOCK):
+            if len(pending) == 2 * workers:
+                yield pending.pop(0).result()
+            pending.append(_pool.submit(reduce, i0))
+        while pending:
+            yield pending.pop(0).result()
+    finally:  # after an error: drop the blocks not started, wait for the rest
+        for future in pending:
+            future.cancel() or future.exception()
+
+
+def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int) -> tuple:
+    """Points i0 <= i < i0 + _BLOCK of np.linspace(mu_min, mu_max, n + 1), bit for
+    bit, reduced to arrays (a, fa, b, fb) of sign-changing brackets, (x, fx) of
+    exact grid zeros and (x, fx) of suspects.  A one-point halo on each side
+    makes brackets (i, i + 1) and suspects (i - 1, i, i + 1) as on the whole grid."""
+    j0, j1 = max(i0 - 1, 0), min(i0 + _BLOCK + 1, n + 1)
+    x = np.arange(j0, j1, dtype=float) * ((mu_max - mu_min) / n) + mu_min
+    if j1 == n + 1:
+        x[-1] = mu_max
+    values = np.asarray(f(x), dtype=float)
+    own0, own1 = i0 - j0, min(i0 + _BLOCK, n + 1) - j0  # local owned range
+    absv = np.abs(values)
+    zero = absv < _GRID_ZERO
+    hits = np.flatnonzero(zero[own0:own1]) + own0
+    sign = np.sign(values)
+    sign[zero] = 0.0
+    i = np.flatnonzero((sign[:-1] * sign[1:] < 0.0)[own0:own1]) + own0
+    # local minima of |f| below the suspect level without a sign change, not at the grid's ends
+    k = np.flatnonzero(absv[1:-1] < _SUSPECT_LEVEL) + 1
+    k = k[(k >= own0) & (k < own1)]
+    k = k[
+        (absv[k] <= absv[k - 1])
+        & (absv[k] <= absv[k + 1])
+        & (sign[k - 1] * sign[k + 1] > 0.0)
+        & (absv[k] >= _GRID_ZERO)
+    ]
+    return x[i], values[i], x[i + 1], values[i + 1], x[hits], values[hits], x[k], values[k]
+
+
 def scan_with_suspects(
     target: Target,
     params: BeamParameters,
@@ -224,57 +290,39 @@ def scan_with_suspects(
 
     Suspects are grid local minima of |f| below 1e-10 without a sign change --
     near-tangent configurations that must not be silently promoted to roots.
+    The grid is walked in blocks, in parallel if there are several blocks and CPUs:
+    memory is O(blocks in flight + roots).  mu_max may be up to 1.001 * _MU_MAX.
     """
     if not (0.0 < mu_min < mu_max):
         raise ConfigurationError(f"window must satisfy 0 < mu_min < mu_max, got ({mu_min}, {mu_max})")
-    if not (math.isfinite(mu_max) and math.isfinite(step)):
-        raise ConfigurationError(f"window and step must be finite, got mu_max={mu_max}, step={step}")
     if step <= 0.0:
         raise ConfigurationError(f"step must be positive, got {step}")
+    if not (math.isfinite(mu_max) and math.isfinite(step) and math.isfinite((mu_max - mu_min) / step)):
+        raise ConfigurationError(f"window, step and grid size must be finite, got {mu_max=}, {step=}")
     max_step = math.pi / (4.0 * params.length)
     if step >= max_step:
         raise ConfigurationError(
             f"step {step:.6g} too coarse: must be below pi/(4 l) = {max_step:.6g}"
             " to resolve the sin(mu l) oscillation"
         )
+    if mu_max > 1.001 * _MU_MAX:
+        raise ConfigurationError(f"mu_max = {mu_max} is above the window limit {_MU_MAX:g}")
     f = _target_fn(target, params)
     n = int(math.ceil((mu_max - mu_min) / step))
-    grid = np.linspace(mu_min, mu_max, n + 1)
-    values = np.asarray(f(grid), dtype=float)
-
-    roots: list = []
-    # grid points that are numerically exact zeros: degenerate brackets
-    exact_hits = np.flatnonzero(np.abs(values) < _GRID_ZERO)
-    for i in exact_hits:
-        roots.append(
-            Root(
-                mu=float(grid[i]),
-                residual=float(values[i]),
-                bracket=(float(grid[i]), float(grid[i])),
-                iterations=0,
-                target=target,
-                degenerate=True,
-            )
-        )
-    sign = np.sign(values)
-    sign[np.abs(values) < _GRID_ZERO] = 0.0
-    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    x, fx, iterations, lo, hi = _refine_brackets(
-        f, grid[i], values[i], grid[i + 1], values[i + 1]
+    blocks = _map_blocks(lambda i0: _reduce_block(f, mu_min, mu_max, n, i0), n)
+    parts = [block for block in blocks if any(part.size for part in block)]
+    a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = (
+        np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])
     )
+
+    # grid points that are numerically exact zeros: degenerate brackets
+    roots = [Root(x, fx, (x, x), 0, target, True) for x, fx in zip(hit_x.tolist(), hit_f.tolist())]
+    x, fx, iterations, lo, hi = _refine_brackets(f, a, fa, b, fb)
     # refinements that miss the residual contract are not roots
-    fscale = 1.0 + _max(np.abs(values[i]), np.abs(values[i + 1]))
-    met = np.abs(fx) <= _RESIDUAL_FACTOR * fscale
-    for k in np.flatnonzero(met):
-        roots.append(
-            Root(
-                mu=float(x[k]),
-                residual=float(fx[k]),
-                bracket=(float(lo[k]), float(hi[k])),
-                iterations=int(iterations[k]),
-                target=target,
-            )
-        )
+    met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
+    brackets = zip(lo[met].tolist(), hi[met].tolist())
+    refined = zip(x[met].tolist(), fx[met].tolist(), brackets, iterations[met].tolist())
+    roots += [Root(*fields, target) for fields in refined]
     roots.sort(key=lambda r: r.mu)
     # merge duplicates (a degenerate grid hit adjacent to a refined bracket)
     deduped: list = []
@@ -284,18 +332,7 @@ def scan_with_suspects(
                 deduped[-1] = r
             continue
         deduped.append(r)
-
-    # grid local minima of |f| below the suspect level without a sign change
-    absv = np.abs(values)
-    i = np.flatnonzero(absv[1:-1] < _SUSPECT_LEVEL) + 1
-    i = i[
-        (absv[i] <= absv[i - 1])
-        & (absv[i] <= absv[i + 1])
-        & (sign[i - 1] * sign[i + 1] > 0.0)
-        & (absv[i] >= _GRID_ZERO)
-    ]
-    suspects = [(float(grid[k]), float(values[k])) for k in i]
-    return deduped, suspects
+    return deduped, list(zip(sus_x.tolist(), sus_f.tolist()))
 
 
 def scan_roots(
@@ -353,6 +390,10 @@ def verify_localization(
         raise LocalizationPreconditionError(f"epsilon must be positive, got {epsilon}")
     if not math.isfinite(epsilon):
         raise LocalizationPreconditionError(f"epsilon must be finite, got {epsilon}")
+    if not math.isfinite(threshold_M):
+        raise ConfigurationError(f"threshold_M must be finite, got {threshold_M}")
+    if mu_max > _MU_MAX:
+        raise ConfigurationError(f"mu_max = {mu_max} is above the window limit {_MU_MAX:g}")
     rational = detect_rational_ratio(params.length, params.attachment_point)
     if threshold_M >= mu_max:
         return LocalizationReport(

@@ -37,6 +37,15 @@ package now runs in batches, as exact references for them:
 * ``pair_mutual_nearest_quadratic`` -- mutual-nearest pairing by a linear
   ``min`` search per root, O(n^2).
 
+the kernel of ``shakerbeam.phi`` before it shared sin(mu l) between its two
+parts and skipped numpy's slow path for underflowing exponentials:
+
+* ``phi0_unfused``, ``phi1_unfused`` and ``phi_unfused`` -- phi0, phi1 and
+  their sum as two independent evaluations, each computing its own
+  sin(mu l) and taking every exponential with a plain ``np.exp``.
+  The package's kernel does the same arithmetic per point, so the two must
+  be equal, not just close.
+
 and the quadrature that ``shakerbeam.normalize_L2`` replaced by a closed form:
 
 * ``_branch_quadrature`` -- the integral of u^2 over [0, l] by one
@@ -403,6 +412,52 @@ def pair_mutual_nearest_quadratic(exact: list, truncated: list) -> list:
         if t not in used_truncated:
             rows.append((None, t, "truncated_only"))
     return rows
+
+
+def phi1_unfused(mu, params: BeamParameters):
+    """Correction term Phi1 with every hyperbolic pre-folded against e^{-mu l}.
+
+    sinh mu l * e^{-mu l} becomes (1 - e^{-2 mu l})/2 and so on; each folded
+    factor is bounded by 1, so the evaluation neither overflows nor cancels
+    catastrophically for any mu > 0.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0.0):
+        raise DomainError("mu must be positive")
+    l, l0 = params.length, params.attachment_point
+    e2l = np.exp(-2.0 * mu * l)
+    e2a = np.exp(-2.0 * mu * l0)
+    e2b = np.exp(-2.0 * mu * (l - l0))
+    sh = 0.5 * (1.0 - e2l)  # sinh(mu l) e^{-mu l}
+    ch = 0.5 * (1.0 + e2l)  # cosh(mu l) e^{-mu l}
+    chd = 0.5 * (e2a + e2b)  # cosh(mu (l - 2 l0)) e^{-mu l}
+    s, c = np.sin(mu * l), np.cos(mu * l)
+    cd = np.cos(mu * (l - 2.0 * l0))
+    rho, m = params.linear_density, params.shaker_mass
+    kap, ei = params.spring_stiffness, params.flexural_rigidity
+    out = (
+        2.0 * sh * cd
+        - 2.0 * sh * c
+        - 2.0 * ch * s
+        + 2.0 * s * chd
+        + (c + s - cd)
+        - (8.0 * rho / (m * mu)) * sh * s
+        + (2.0 * kap * rho / (ei * m * mu**4)) * ((ch - chd) * s + (c - cd) * sh)
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def phi_unfused(mu, params: BeamParameters):
+    """Scaled characteristic function phi0 + phi1; its positive zeros are
+    exactly the positive zeros of det M."""
+    return phi0_unfused(mu, params.length, params.attachment_point) + phi1_unfused(mu, params)
+
+
+def phi0_unfused(mu, l: float, l0: float):
+    """Truncated characteristic function 2 sin mu(l-l0) sin mu l0 - sin mu l."""
+    mu = np.asarray(mu, dtype=float)
+    out = 2.0 * np.sin(mu * (l - l0)) * np.sin(mu * l0) - np.sin(mu * l)
+    return float(out) if out.ndim == 0 else out
 
 
 def _branch_quadrature(mode: ModeShape, n: int) -> float:

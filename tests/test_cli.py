@@ -1,8 +1,10 @@
 """End-to-end command tests: config resolution, artifact formats, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,7 @@ class TestConfig:
             (["verify", "--mu-max", "inf"], 1),
             (["roots", "--step", "nan"], 1),
             (["verify", "--epsilon", "nan"], 4),
+            (["roots", "--step", "1e-320"], 1),
         ],
     )
     def test_non_finite_setting_exits_without_traceback(self, argv, code, tmp_path, capfd):
@@ -249,6 +252,56 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "localization.json").read_text())
         assert report["pairings"] == []
         assert report["warning"]
+
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_1(self, threshold, tmp_path, capfd):
+        assert main(["--out", str(tmp_path), "--quiet", "verify", f"--threshold={threshold}"]) == 1
+        err = capfd.readouterr().err
+        assert "threshold" in err and "Traceback" not in err
+        assert not (tmp_path / "localization.json").exists()
+
+    def test_non_finite_field_is_never_written(self, tmp_path, monkeypatch):
+        real = cli.verify_localization
+
+        def nan_margin(*args):
+            return dataclasses.replace(real(*args), min_abs_phi0_complement=math.nan)
+
+        monkeypatch.setattr(cli, "verify_localization", nan_margin)
+        with pytest.raises(ValueError):
+            main(["--out", str(tmp_path), "--quiet", "verify", "--threshold", "15"])
+        assert not (tmp_path / "localization.json").exists()
+
+    def test_window_at_limit_accepted(self, tmp_path):
+        # the exact-root scan runs epsilon past mu_max = 1e6
+        argv = ["--out", str(tmp_path), "--quiet", "verify", "--threshold", "999980"]
+        assert main(argv + ["--mu-max", "1e6"]) == 0
+        report = json.loads((tmp_path / "localization.json").read_text())
+        assert report["verdict"] is True and report["pairings"]
+        assert main(argv + ["--mu-max", "1000001"]) == 1
+
+
+class TestWindowLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roots", "--mu-max", "1e7"],
+            ["roots", "--n-roots", "1000000000"],
+            ["modes", "1", "--mu-max", "1e7"],
+            ["growth", "--mu-max", "1e7"],
+            ["verify", "--mu-max", "1e7"],
+        ],
+    )
+    def test_above_limit_exits_1_at_once(self, argv, tmp_path, capfd):
+        tracemalloc.start()
+        try:
+            assert main(["--out", str(tmp_path), "--quiet", *argv]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        err = capfd.readouterr().err
+        assert "limit" in err and "Traceback" not in err
 
 
 class TestModesCommand:

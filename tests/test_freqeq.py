@@ -19,6 +19,7 @@ from shakerbeam import (
     phi0_prime,
     phi1,
 )
+from shakerbeam.freqeq import _exp_neg
 from shakerbeam.modes import _interface_system
 from conftest import seeded_beams
 from reference import (
@@ -28,6 +29,9 @@ from reference import (
     det_M_scale,
     interface_matrix,
     krylov,
+    phi0_unfused,
+    phi1_unfused,
+    phi_unfused,
 )
 
 
@@ -209,3 +213,58 @@ class TestPhi:
         vals = phi0(mus, params.length, params.attachment_point)
         assert vals.shape == mus.shape
         assert vals[1] == phi0(1.0, params.length, params.attachment_point)
+
+
+def _subnormal_bands(beam):
+    """mu where 2 mu t, for each exponent length t of phi1, lies in
+    (708, 746]: exp(-2 mu t) is subnormal there, or just rounds to 0.0."""
+    l, l0 = beam.length, beam.attachment_point
+    bands = []
+    for t in (l, l0, l - l0):
+        band = np.linspace(708.0, 746.0, 2001)[1:] / (2.0 * t)
+        edge = 746.0 / (2.0 * t)
+        bands += [band, np.nextafter(edge, [0.0, math.inf]), np.array([745.1, 745.2]) / (2.0 * t)]
+    return np.concatenate(bands)
+
+
+class TestFusedKernel:
+    """phi shares sin(mu l) between phi0 and phi1 and skips numpy's slow
+    underflow path; neither may change a bit of any value."""
+
+    def test_equals_unfused_reference(self, params):
+        for beam in [params] + seeded_beams(20261019, 8):
+            grids = [
+                np.linspace(0.1, 1e5, 200_001),
+                np.linspace(0.1, 1000.0, 48_507),
+                _subnormal_bands(beam),
+            ]
+            for g in grids:
+                assert np.array_equal(phi(g, beam), phi_unfused(g, beam))
+                assert np.array_equal(phi1(g, beam), phi1_unfused(g, beam))
+                l, l0 = beam.length, beam.attachment_point
+                assert np.array_equal(phi0(g, l, l0), phi0_unfused(g, l, l0))
+            for mu in _subnormal_bands(beam)[::250].tolist() + [0.1, 2.5, 1e3, 1e5, 1e6]:
+                value = phi(mu, beam)
+                assert type(value) is float and value == phi_unfused(mu, beam)
+                assert phi1(mu, beam) == phi1_unfused(mu, beam)
+
+    def test_masked_exp_equals_numpy_exp(self):
+        # below -746 exp rounds to 0.0; in the subnormal band above it the
+        # masked call must still compute every value
+        x = np.concatenate([
+            -np.linspace(0.0, 800.0, 400_001),
+            -np.nextafter(746.0, [0.0, math.inf]),
+            -np.array([708.0, 744.4, 745.1, 745.2, 1e300, math.inf]),
+        ])
+        with np.errstate(under="ignore"):
+            assert np.array_equal(_exp_neg(x), np.exp(x))
+            assert all(_exp_neg(np.array(v)) == np.exp(v) for v in x[::4000].tolist())
+
+    def test_independent_of_caller_errstate(self, params):
+        # worker threads do not inherit np.errstate; the subnormal band must
+        # neither raise nor change under the strictest setting
+        g = _subnormal_bands(params)
+        expected = phi(g, params)
+        with np.errstate(all="raise"):
+            assert np.array_equal(phi(g, params), expected)
+            assert [phi(mu, params) for mu in g[::500].tolist()] == expected[::500].tolist()

@@ -3,8 +3,14 @@ asymptotic localization check."""
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 import warnings
+import concurrent.futures
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +30,8 @@ from shakerbeam import (
     scan_with_suspects,
     verify_localization,
 )
+import shakerbeam.roots
+import reference
 from shakerbeam.roots import _refine_brackets
 from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, default_step, seeded_beams
 from reference import _brent, pair_mutual_nearest_quadratic, scan_with_suspects_scalar
@@ -79,7 +87,13 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "mu_min, mu_max, step",
-        [(0.1, math.inf, 0.01), (0.1, math.nan, 0.01), (math.nan, 38.5, 0.01), (0.1, 38.5, math.nan)],
+        [
+            (0.1, math.inf, 0.01),
+            (0.1, math.nan, 0.01),
+            (math.nan, 38.5, 0.01),
+            (0.1, 38.5, math.nan),
+            (0.1, 38.5, 1e-320),  # the grid size overflows
+        ],
     )
     def test_non_finite_window_or_step_rejected(self, params, mu_min, mu_max, step):
         with pytest.raises(ConfigurationError):
@@ -163,6 +177,217 @@ class TestBatchedRefinement:
             for target in Target:
                 scan_with_suspects(target, params, 0.1, 1000.0, default_step(params))
             _refine_brackets(_awkward, a, _awkward(a), b, _awkward(b))
+
+
+def _edge_features(x):
+    """On the grid x = 1, 2, ..., 48 (global points i = x - 1): a sign change
+    between i = 7 and 8, an exact zero at i = 16, near-tangent minima at
+    i = 24 and 31, and a sign change between i = 39 and 40.  With blocks of 8
+    every feature sits on a block edge; other block sizes put them elsewhere."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(
+        x < 12.5,
+        x - 8.5,
+        np.where(
+            x < 20.5,
+            0.1 * (x - 17.0) ** 2,
+            np.where(
+                x < 28.5,
+                1e-11 + 1e-3 * (x - 25.0) ** 2,
+                np.where(x < 36.5, 1e-11 + 1e-3 * (x - 32.0) ** 2, 40.5 - x),
+            ),
+        ),
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+class TestBlockScan:
+    """The scan walks its grid in blocks with a one-point halo; every block
+    size and the serial and threaded paths must give the whole-grid result."""
+
+    SHORT = [(0.1, 38.5), (450.0, 500.0)]
+    LONG = [(0.1, 1000.0), (15.0, 1000.35)]
+
+    @staticmethod
+    def _midspan_args(half_params):
+        step = math.pi / (8.0 * half_params.length)
+        return (Target.Phi0, half_params, step, 32.0 * step, step)
+
+    def test_block_sizes_equal_default(self, half_params, monkeypatch):
+        beams = seeded_beams(20261018, 2)
+        cases = [
+            (target, beam, lo, hi, default_step(beam))
+            for beam in beams
+            for target in Target
+            for lo, hi in self.SHORT + self.LONG
+        ] + [self._midspan_args(half_params)]
+        expected = [scan_with_suspects(*args) for args in cases]
+        assert any(r.degenerate for r in expected[-1][0])
+        for block in (1, 2, 3, 7, 64):
+            monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
+            for args, want in zip(cases, expected):
+                # tiny blocks on the long windows cost seconds and add nothing
+                if block < 64 and args[3] - args[2] > 100.0:
+                    continue
+                assert scan_with_suspects(*args) == want
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 8, 64])
+    def test_features_on_block_edges(self, params, monkeypatch, block):
+        beam = dataclasses.replace(params, length=0.5, attachment_point=0.2)
+        for module in (shakerbeam.roots, reference):
+            monkeypatch.setattr(module, "_target_fn", lambda target, p: _edge_features)
+        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
+        args = (Target.Phi, beam, 1.0, 48.0, 1.0)
+        roots, suspects = scan_with_suspects(*args)
+        assert (roots, suspects) == reference.scan_with_suspects_scalar(*args)
+        assert [r.mu for r in roots] == [8.5, 17.0, 40.5]
+        assert [r.degenerate for r in roots] == [False, True, False]
+        assert suspects == [(25.0, 1e-11), (32.0, 1e-11)]
+
+    def test_serial_equals_threaded(self, half_params, monkeypatch):
+        cases = [
+            (target, beam, lo, hi, default_step(beam))
+            for beam in seeded_beams(20261020, 3)
+            for target in Target
+            for lo, hi in self.SHORT + self.LONG
+        ] + [self._midspan_args(half_params)]
+        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 512)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = [scan_with_suspects(*args) for args in cases]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert [scan_with_suspects(*args) for args in cases] == serial
+
+    def test_block_points_equal_linspace(self, params, monkeypatch):
+        # every grid point, the last one included, is the np.linspace point
+        calls = []
+
+        def record(x):
+            calls.append(np.array(x))
+            return np.ones_like(x)
+
+        monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: record)
+        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 1000)
+        step = default_step(params)
+        for lo, hi in [(0.1, 38.5), (0.1, 1000.0), (15.0, 1000.35), (3.3, 7777.7)]:
+            calls.clear()
+            assert scan_with_suspects(Target.Phi, params, lo, hi, step) == ([], [])
+            points = np.unique(np.concatenate(calls))
+            assert np.array_equal(points, np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1))
+
+    def test_worker_exception_reaches_caller(self, params, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def explode(x):
+            if np.any(x > 30.0):
+                raise Boom("block above 30")
+            return np.ones_like(x)
+
+        monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: explode)
+        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(Boom, match="block above 30"):
+            scan_with_suspects(Target.Phi, params, 0.1, 38.5, default_step(params))
+
+    def test_concurrent_callers_share_one_pool(self, params, monkeypatch):
+        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        args = (Target.Phi, params, 0.1, 38.5, default_step(params))
+        expected = scan_with_suspects(*args)
+        created = []
+
+        def counting_executor(*a, **kw):
+            created.append(ThreadPoolExecutor(*a, **kw))
+            return created[-1]
+
+        monkeypatch.setattr(shakerbeam.roots, "_pool", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_executor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as callers:
+                scans = callers.map(lambda _: scan_with_suspects(*args), range(16), timeout=120)
+                results = list(scans)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in created:
+                pool.shutdown()
+        assert results == [expected] * 16
+        assert len(created) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self, params, monkeypatch):
+        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        args = (Target.Phi, params, 0.1, 38.5, default_step(params))
+        expected = scan_with_suspects(*args)
+        assert shakerbeam.roots._pool is not None
+        with warnings.catch_warnings():
+            # Python 3.12+ warns about forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            ok = shakerbeam.roots._pool is None and scan_with_suspects(*args) == expected
+            os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestWindowLimit:
+    """Windows end at mu_max <= 1e6; a scan may reach 0.1% past it."""
+
+    def test_scan_above_limit_fails_before_allocating(self, params):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="limit"):
+                scan_roots(Target.Phi, params, 0.1, 2e6, default_step(params))
+            with pytest.raises(ConfigurationError, match="limit"):
+                scan_roots(Target.Phi0, params, 0.1, 1.001e6 * (1.0 + 1e-12), default_step(params))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_verify_above_limit_fails(self, params):
+        with pytest.raises(ConfigurationError, match="limit"):
+            verify_localization(params, 0.35, 15.0, 1e6 * (1.0 + 1e-12))
+
+    def test_verify_at_limit_scans_past_it(self, params):
+        # the exact-root scan runs to mu_max + epsilon, past 1e6
+        report = verify_localization(params, 0.35, 1e6 - 20.0, 1e6)
+        assert report.pairings
+        assert all(p.status is PairingStatus.PairedUnique for p in report.pairings)
+        roots = scan_roots(Target.Phi, params, 1e6 - 1.0, 1e6 + 3.0, default_step(params))
+        assert roots and roots[-1].mu > 1e6
+
+    def test_bounded_rss_to_mu_1e5(self, tmp_path):
+        # the whole-grid scan peaked near 586 MB here; blocks keep it flat
+        code = (
+            "import math, resource\n"
+            "from shakerbeam import BeamParameters, Target, scan_roots\n"
+            "p = BeamParameters(youngs_modulus=6.9e10, second_moment=1.6875e-10,"
+            " linear_density=0.6075, length=1.905, attachment_point=1.4,"
+            " shaker_mass=0.1, spring_stiffness=7000.0)\n"
+            "roots = scan_roots(Target.Phi, p, 0.1, 1e5, math.pi / (80.0 * p.length))\n"
+            "print(len(roots), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        # Linux carries ru_maxrss across exec, so a child started from this
+        # (large) test process would report this process's peak: start it
+        # from a small launcher process instead
+        launcher = (
+            "import subprocess, sys\n"
+            "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n"
+        )
+        src = os.path.dirname(os.path.dirname(shakerbeam.roots.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", launcher, code], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        count, maxrss = map(int, run.stdout.split())
+        assert count == 60638
+        scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
+        assert maxrss * scale < 100e6
 
 
 class TestClosedFormHalf:
@@ -268,6 +493,11 @@ class TestVerifyLocalization:
         assert report.rational_ratio == (280, 381)
         assert report.min_abs_phi0_complement > 0.0
         assert report.min_abs_phi0_prime_neighborhoods > 0.0
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, params, threshold):
+        with pytest.raises(ConfigurationError, match="threshold"):
+            verify_localization(params, 0.35, threshold, 38.5)
 
     def test_matches_brute_force_to_mu_1000(self, params, monkeypatch):
         # every anchor against every exact root, from the report's own scans
