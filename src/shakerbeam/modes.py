@@ -1,4 +1,4 @@
-"""Eigenmode reconstruction, evaluation, normalization, and state assembly.
+"""Eigenmode reconstruction, evaluation and normalization.
 
 A mode at spectral parameter mu is piecewise
 
@@ -11,9 +11,9 @@ u, u', u'' at the attachment point plus the third-derivative force balance of
 the mass-spring unit.  Internally the growing amplitudes are stored scaled,
 A = a e^{-mu l0} and C = c e^{-mu (l-l0)}, so every matrix entry and every
 evaluation term stays bounded: the raw boundary-data formulation loses
-eps * e^{mu l0} to cancellation and destroys high modes.  The public fields
-still expose the end derivative data (u1 = u', u3 = u''') in the gauge
-u3(l) = 1.  The L2 norm comes in closed form from the same scaled amplitudes.
+eps * e^{mu l0} to cancellation and destroys high modes.  A ModeShape stores
+only these amplitudes and derives its end derivative data and attachment state
+from them.  The L2 norm comes in closed form from the same scaled amplitudes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "solve_mode",
     "evaluate_mode",
     "normalize_L2",
-    "full_state",
 ]
 
 _NULLSPACE_RATIO = 1e-6
@@ -56,10 +55,9 @@ class DegenerateModeError(ValueError):
 class ModeShape:
     """A reconstructed eigenmode.
 
-    boundary_values : (u'(0), u'''(0), u'(l), u'''(l)) -- end derivative data;
-        u'''(l) = 1 in the primary gauge
-    attachment : (p, q_magnitude) with p = u(l0) and q = i omega p (magnitude
-        stored; the eigenvalue is purely imaginary)
+    amplitudes : (a, B, c, D), the scaled sinh/sin amplitudes of the two
+        branches; they alone fix the mode's scale, and boundary_values and
+        attachment are derived from them
     normalization : scale factor applied by normalize_L2 (None before)
     sign_convention : +1/-1 applied so u'(0) > 0 (None before normalization)
     gauge : which boundary value was pinned to 1 by solve_mode
@@ -69,13 +67,22 @@ class ModeShape:
 
     mu: float
     params: BeamParameters
-    amplitudes: tuple  # (a, B, c, D): scaled sinh/sin amplitudes per branch
-    boundary_values: tuple
-    attachment: tuple
+    amplitudes: tuple
     gauge: str
     nullspace_ratio: float
     normalization: Optional[float] = None
     sign_convention: Optional[int] = None
+
+    @property
+    def boundary_values(self) -> tuple:
+        """(u'(0), u'''(0), u'(l), u'''(l)); u'''(l) = 1 in the primary gauge."""
+        return _boundary_values(self.mu, self.params, self.amplitudes)
+
+    @property
+    def attachment(self) -> tuple:
+        """(p, |q|): p = u(l0), and q = i omega p, as the eigenvalue is purely imaginary."""
+        p = _eval_amps(self.params.attachment_point, self.mu, self.params, self.amplitudes, 0)
+        return (p, to_spectral_point(self.mu, self.params).omega * p)
 
 
 def _interface_system(mu: float, params: BeamParameters) -> np.ndarray:
@@ -130,7 +137,6 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
             f"mode reconstruction needs a root of the exact equation, got target {root.target}"
         )
     mu = root.mu
-    l0 = params.attachment_point
     H = _interface_system(mu, params)
     _, singular_values, vt = np.linalg.svd(H)
     ratio = float(singular_values[-1] / singular_values[0])
@@ -154,15 +160,10 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
             f" no gauge applicable (sigma_min/sigma_max = {ratio:.3e})",
             nullspace_ratio=ratio,
         )
-    amps = tuple(float(v) for v in amps)
-    p = _eval_amps(l0, mu, params, amps, 0)
-    omega = to_spectral_point(mu, params).omega
     return ModeShape(
         mu=mu,
         params=params,
-        amplitudes=amps,
-        boundary_values=_boundary_values(mu, params, amps),
-        attachment=(float(p), float(omega * p)),
+        amplitudes=tuple(float(v) for v in amps),
         gauge=gauge,
         nullspace_ratio=ratio,
     )
@@ -255,39 +256,12 @@ def normalize_L2(mode: ModeShape) -> ModeShape:
             nullspace_ratio=mode.nullspace_ratio,
         )
     scale = 1.0 / math.sqrt(norm_sq)
-    u1_0 = mode.boundary_values[0]
-    sign = 1 if u1_0 * scale > 0.0 else -1
+    sign = 1 if mode.boundary_values[0] * scale > 0.0 else -1
     factor = sign * scale
-    amps = tuple(v * factor for v in mode.amplitudes)
-    p = mode.attachment[0] * factor
-    omega = to_spectral_point(mode.mu, mode.params).omega
     return replace(
         mode,
-        amplitudes=amps,
-        boundary_values=tuple(v * factor for v in mode.boundary_values),
-        attachment=(p, omega * p),
+        amplitudes=tuple(v * factor for v in mode.amplitudes),
         normalization=(mode.normalization or 1.0) * abs(factor),
         sign_convention=sign if mode.sign_convention is None else sign * mode.sign_convention,
     )
 
-
-def full_state(mode: ModeShape, n_samples: int = 401) -> dict:
-    """Sample the eigen-state (u, v, p, q) on a uniform grid.
-
-    The eigenvalue is i*omega, so the velocity component is v = i omega u;
-    magnitudes are reported with times_i = True flagging the 90-degree phase.
-    """
-    if mode.normalization is None:
-        raise ValidationError("full_state requires a normalized mode (run normalize_L2)")
-    omega = to_spectral_point(mode.mu, mode.params).omega
-    x = np.linspace(0.0, mode.params.length, n_samples)
-    u = evaluate_mode(mode, x)
-    return {
-        "x": x,
-        "u": u,
-        "v_magnitude": omega * u,
-        "p": mode.attachment[0],
-        "q_magnitude": mode.attachment[1],
-        "omega": omega,
-        "times_i": True,
-    }

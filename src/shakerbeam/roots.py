@@ -47,7 +47,9 @@ _BRACKET_TOL = 1e-10
 _RESIDUAL_FACTOR = 1e-9
 _GRID_ZERO = 1e-13
 _SUSPECT_LEVEL = 1e-10
+_MAX_DENOMINATOR = 10**6  # largest q detect_rational_ratio tries
 _BLOCK = 2**13  # grid points per scan block: fits the cache, amortizes numpy calls
+_MU_MIN = 1e-6  # window floor: below ~1e-77, mu**4 underflows and phi is NaN
 _MU_MAX = 1e6  # window limit, the range phi is tested on; scans may end 0.1% past it
 
 
@@ -224,30 +226,22 @@ os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _pool_lo
 
 
 def _map_blocks(reduce: Callable, n: int):
-    """reduce(i0) for the start i0 of each block of the n + 1 grid points, in order:
-    in the calling thread if there is one block or one CPU, else on the thread
-    pool with at most two blocks per worker pending."""
+    """reduce(i0) for the start i0 of each block of the n + 1 grid points, in order,
+    mapped in slices of two starts per worker: in the calling thread if there is one
+    block or one CPU, else on the shared thread pool, whose map cancels a slice's
+    unstarted blocks when one raises.  At most one slice of results is held."""
     global _pool
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if workers < 2 or n + 1 <= _BLOCK:
-        yield from map(reduce, range(0, n + 1, _BLOCK))
-        return
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # imports logging: ~10 ms
+    serial = workers < 2 or n + 1 <= _BLOCK
+    if not serial:
+        with _pool_lock:
+            if _pool is None:
+                from concurrent.futures import ThreadPoolExecutor  # imports logging: ~10 ms
 
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="shakerbeam-scan")
-    pending: list = []
-    try:
-        for i0 in range(0, n + 1, _BLOCK):
-            if len(pending) == 2 * workers:
-                yield pending.pop(0).result()
-            pending.append(_pool.submit(reduce, i0))
-        while pending:
-            yield pending.pop(0).result()
-    finally:  # after an error: drop the blocks not started, wait for the rest
-        for future in pending:
-            future.cancel() or future.exception()
+                _pool = ThreadPoolExecutor(workers, thread_name_prefix="shakerbeam-scan")
+    starts = range(0, n + 1, _BLOCK)
+    for k in range(0, len(starts), 2 * workers):
+        yield from (map if serial else _pool.map)(reduce, starts[k : k + 2 * workers])
 
 
 def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int) -> tuple:
@@ -291,10 +285,10 @@ def scan_with_suspects(
     Suspects are grid local minima of |f| below 1e-10 without a sign change --
     near-tangent configurations that must not be silently promoted to roots.
     The grid is walked in blocks, in parallel if there are several blocks and CPUs:
-    memory is O(blocks in flight + roots).  mu_max may be up to 1.001 * _MU_MAX.
+    memory is O(blocks in flight + roots).  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
     """
-    if not (0.0 < mu_min < mu_max):
-        raise ConfigurationError(f"window must satisfy 0 < mu_min < mu_max, got ({mu_min}, {mu_max})")
+    if not (_MU_MIN <= mu_min < mu_max):
+        raise ConfigurationError(f"window needs {_MU_MIN:g} <= mu_min < mu_max, got ({mu_min}, {mu_max})")
     if step <= 0.0:
         raise ConfigurationError(f"step must be positive, got {step}")
     if not (math.isfinite(mu_max) and math.isfinite(step) and math.isfinite((mu_max - mu_min) / step)):
@@ -324,15 +318,7 @@ def scan_with_suspects(
     refined = zip(x[met].tolist(), fx[met].tolist(), brackets, iterations[met].tolist())
     roots += [Root(*fields, target) for fields in refined]
     roots.sort(key=lambda r: r.mu)
-    # merge duplicates (a degenerate grid hit adjacent to a refined bracket)
-    deduped: list = []
-    for r in roots:
-        if deduped and abs(r.mu - deduped[-1].mu) < 10.0 * _BRACKET_TOL:
-            if deduped[-1].degenerate and not r.degenerate:
-                deduped[-1] = r
-            continue
-        deduped.append(r)
-    return deduped, list(zip(sus_x.tolist(), sus_f.tolist()))
+    return roots, list(zip(sus_x.tolist(), sus_f.tolist()))
 
 
 def scan_roots(
@@ -358,7 +344,7 @@ def closed_form_roots_half(l: float, count: int) -> list:
     return out
 
 
-def detect_rational_ratio(l: float, l0: float, max_denominator: int = 10**6):
+def detect_rational_ratio(l: float, l0: float):
     """Return (p, q) if l0/l is genuinely a rational p/q, else None.
 
     Every double has continued-fraction convergents within ~1/q^2, so a flat
@@ -366,7 +352,7 @@ def detect_rational_ratio(l: float, l0: float, max_denominator: int = 10**6):
     the Dirichlet 1/q^2 level, which only true rationals achieve.
     """
     ratio = l0 / l
-    frac = Fraction(ratio).limit_denominator(max_denominator)
+    frac = Fraction(ratio).limit_denominator(_MAX_DENOMINATOR)
     if abs(ratio - float(frac)) <= 1e-9 / frac.denominator**2:
         return (frac.numerator, frac.denominator)
     return None
@@ -410,7 +396,7 @@ def verify_localization(
         )
     if step is None:
         step = math.pi / (80.0 * params.length)
-    lo = max(threshold_M, 1e-6)
+    lo = max(threshold_M, _MU_MIN)
     anchors = [r.mu for r in scan_roots(Target.Phi0, params, lo, mu_max, step)]
     anchors = [a for a in anchors if a > threshold_M]
     gaps = [b - a for a, b in zip(anchors, anchors[1:])]

@@ -366,14 +366,6 @@ def scan_with_suspects_scalar(
             Root(mu=float(x), residual=float(fx), bracket=bracket, iterations=iters, target=target)
         )
     roots.sort(key=lambda r: r.mu)
-    # merge duplicates (a degenerate grid hit adjacent to a refined bracket)
-    deduped: list = []
-    for r in roots:
-        if deduped and abs(r.mu - deduped[-1].mu) < 10.0 * _BRACKET_TOL:
-            if deduped[-1].degenerate and not r.degenerate:
-                deduped[-1] = r
-            continue
-        deduped.append(r)
 
     suspects: list = []
     absv = np.abs(values)
@@ -386,7 +378,7 @@ def scan_with_suspects_scalar(
             and absv[i] >= _GRID_ZERO
         ):
             suspects.append((float(grid[i]), float(values[i])))
-    return deduped, suspects
+    return roots, suspects
 
 
 def pair_mutual_nearest_quadratic(exact: list, truncated: list) -> list:

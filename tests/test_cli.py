@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,16 @@ class TestWindowLimit:
         assert peak < 1e6
         err = capfd.readouterr().err
         assert "limit" in err and "Traceback" not in err
+
+    def test_below_floor_exits_1_without_warning(self, tmp_path, capfd):
+        # phi is NaN on the whole grid below mu ~ 1e-77: nothing is scanned
+        argv = ["--out", str(tmp_path), "roots", "--mu-min", "1e-200", "--mu-max", "1e-100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capfd.readouterr().err
+        assert "mu_min" in err and "Traceback" not in err
+        assert not (tmp_path / "roots.csv").exists()
 
 
 class TestModesCommand:

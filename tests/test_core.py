@@ -167,7 +167,7 @@ class TestPublicNames:
         "BeamParameters", "ConfigurationError", "DegenerateModeError", "DomainError",
         "LocalizationPreconditionError", "LocalizationReport", "ModeShape", "PairingStatus",
         "Root", "RootPairing", "SpectralPoint", "Target", "ValidationError",
-        "closed_form_roots_half", "detect_rational_ratio", "evaluate_mode", "full_state",
+        "closed_form_roots_half", "detect_rational_ratio", "evaluate_mode",
         "mu_hat", "normalize_L2", "pair_mutual_nearest", "phi", "phi0", "phi0_prime", "phi1",
         "scan_roots", "scan_with_suspects", "solve_mode", "to_spectral_point",
         "validate_parameters", "verify_localization",
@@ -175,7 +175,7 @@ class TestPublicNames:
 
     def test_all_is_the_thirty_public_names(self):
         assert shakerbeam.__all__ == sorted(self.NAMES)
-        assert len(set(shakerbeam.__all__)) == 30
+        assert len(set(shakerbeam.__all__)) == 29
 
     def test_each_name_resolves(self):
         for name in self.NAMES:

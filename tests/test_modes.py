@@ -16,7 +16,6 @@ from shakerbeam import (
     Target,
     ValidationError,
     evaluate_mode,
-    full_state,
     normalize_L2,
     scan_roots,
     solve_mode,
@@ -189,12 +188,7 @@ class TestNormalize:
 
     def test_scale_invariance(self, modes):
         mode = modes[1]
-        scaled = dataclasses.replace(
-            mode,
-            amplitudes=tuple(37.0 * a for a in mode.amplitudes),
-            boundary_values=tuple(37.0 * b for b in mode.boundary_values),
-            attachment=tuple(37.0 * p for p in mode.attachment),
-        )
+        scaled = dataclasses.replace(mode, amplitudes=tuple(37.0 * a for a in mode.amplitudes))
         a = normalize_L2(mode)
         b = normalize_L2(scaled)
         assert b.amplitudes == pytest.approx(a.amplitudes, rel=1e-10)
@@ -203,6 +197,16 @@ class TestNormalize:
         for mode in modes:
             normed = normalize_L2(mode)
             assert evaluate_mode(normed, 0.0, 1) > 0.0
+
+    def test_derived_fields_follow_amplitudes(self, params, modes):
+        l, l0 = params.length, params.attachment_point
+        for mode in modes[::4]:
+            for m in (mode, normalize_L2(mode)):
+                ends = [evaluate_mode(m, x, der) for x in (0.0, l) for der in (1, 3)]
+                assert m.boundary_values == pytest.approx(ends, rel=1e-9, abs=1e-9 * max(map(abs, ends)))
+                p, q = m.attachment
+                assert p == pytest.approx(evaluate_mode(m, l0), rel=1e-12)
+                assert q == pytest.approx(to_spectral_point(m.mu, params).omega * p, rel=1e-12)
 
     def test_records_normalization_factor(self, modes):
         normed = normalize_L2(modes[0])
@@ -291,29 +295,3 @@ class TestClosedFormNorm:
         )
         assert all(math.isfinite(v) for v in fields)
 
-
-class TestFullState:
-    def test_velocity_magnitude_is_omega_times_u(self, params, modes):
-        normed = normalize_L2(modes[3])
-        state = full_state(normed, n_samples=301)
-        omega = to_spectral_point(normed.mu, params).omega
-        np.testing.assert_allclose(state["v_magnitude"], omega * state["u"], rtol=1e-12)
-        assert state["omega"] == pytest.approx(omega, rel=1e-13)
-        assert state["times_i"] is True
-
-    def test_attachment_states(self, params, modes):
-        normed = normalize_L2(modes[0])
-        state = full_state(normed)
-        omega = to_spectral_point(normed.mu, params).omega
-        assert state["p"] == pytest.approx(evaluate_mode(normed, params.attachment_point), rel=1e-12)
-        assert state["q_magnitude"] == pytest.approx(omega * state["p"], rel=1e-12)
-
-    def test_requires_normalization(self, modes):
-        with pytest.raises(ValidationError, match="normaliz"):
-            full_state(modes[0])
-
-    def test_sample_grid_covers_span(self, params, modes):
-        state = full_state(normalize_L2(modes[0]), n_samples=11)
-        assert state["x"][0] == 0.0
-        assert state["x"][-1] == params.length
-        assert len(state["x"]) == 11

@@ -116,6 +116,25 @@ class TestScan:
             assert abs(r.residual) < 1e-13
             assert r.bracket == (r.mu, r.mu)
 
+    def test_near_double_root_reports_both(self, params, monkeypatch):
+        # two simple roots 4e-10 apart, straddling the grid point 10.5: two
+        # sign changes, so two roots, however close they are
+        a, b = 10.5 - 2e-10, 10.5 + 2e-10
+
+        def near_double(x):
+            x = np.asarray(x, dtype=float)
+            return 1e10 * (x - a) * (x - b)
+
+        for module in (shakerbeam.roots, reference):
+            monkeypatch.setattr(module, "_target_fn", lambda target, p: near_double)
+        beam = dataclasses.replace(params, length=0.5, attachment_point=0.2)
+        args = (Target.Phi, beam, 0.5, 20.5, 1.0)
+        roots, suspects = scan_with_suspects(*args)
+        assert (roots, suspects) == reference.scan_with_suspects_scalar(*args)
+        assert [r.mu for r in roots] == pytest.approx([a, b], abs=1e-12)
+        assert not any(r.degenerate for r in roots)
+        assert suspects == []
+
 
 def _awkward(x):
     """A piecewise test function with an exact zero at 0.5, a pole at 15, a
@@ -334,7 +353,37 @@ class TestBlockScan:
 
 
 class TestWindowLimit:
-    """Windows end at mu_max <= 1e6; a scan may reach 0.1% past it."""
+    """Windows start at mu_min >= 1e-6 and end at mu_max <= 1e6; a scan may
+    reach 0.1% past the end."""
+
+    @pytest.mark.parametrize("mu_min, mu_max", [(1e-200, 1e-100), (1e-76, 1e-6), (9.9e-7, 1.0)])
+    def test_scan_below_floor_fails(self, params, mu_min, mu_max):
+        # below mu ~ 1e-77 mu**4 underflows and phi is NaN on the whole grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in Target:
+                with pytest.raises(ConfigurationError, match="mu_min"):
+                    scan_with_suspects(target, params, mu_min, mu_max, default_step(params))
+
+    def test_scan_from_floor_finds_no_noise_roots(self, params, half_params):
+        for beam in (params, half_params):
+            for target in Target:
+                assert scan_with_suspects(target, beam, 1e-6, 0.5, default_step(beam)) == ([], [])
+                assert scan_roots(target, beam, 1e-6, 1e-3, 1e-6) == []
+
+    @pytest.mark.parametrize("beam, count", [("params", 6064), ("half_params", 6366)])
+    @pytest.mark.parametrize("target", list(Target))
+    def test_top_of_window_keeps_every_bracket(self, request, beam, count, target):
+        # refined |f| grows toward mu = 1e6 (on the default beam up to 0.54 of
+        # the residual bound for Phi, 0.60 for Phi0): every sign change on an
+        # independent grid must still be a root
+        beam = request.getfixturevalue(beam)
+        lo, hi = 9.9e5, 1e6
+        x = np.linspace(lo, hi, 200_001)
+        values = phi(x, beam) if target is Target.Phi else phi0(x, beam.length, beam.attachment_point)
+        changes = int(np.count_nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0))
+        roots = scan_roots(target, beam, lo, hi, default_step(beam))
+        assert len(roots) == changes == count
 
     def test_scan_above_limit_fails_before_allocating(self, params):
         tracemalloc.start()
