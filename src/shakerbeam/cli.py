@@ -85,16 +85,6 @@ class RunConfig:
     out: str = "out"
     quiet: bool = False
 
-    def __post_init__(self):
-        if not (0.0 < self.mu_min < self.mu_max):
-            raise ConfigurationError(
-                f"window must satisfy 0 < mu_min < mu_max, got ({self.mu_min}, {self.mu_max})"
-            )
-        if self.n_roots is not None and self.n_roots < 1:
-            raise ConfigurationError(f"n_roots must be >= 1, got {self.n_roots}")
-        if self.mode_samples < 2:
-            raise ConfigurationError(f"mode_samples must be >= 2, got {self.mode_samples}")
-
     @property
     def scan_step(self) -> float:
         return self.step if self.step is not None else math.pi / (80.0 * self.params.length)
@@ -229,10 +219,13 @@ def _csv(rows, header) -> str:
 
 
 def _resolve_window(config: RunConfig):
-    """Return (mu_min, mu_max, exact_roots) honoring an n_roots request."""
+    """Return (mu_min, mu_max, exact_roots) honoring an n_roots request.
+    The scan itself rejects a bad window."""
     if config.n_roots is None:
         exact = scan_roots(Target.Phi, config.params, config.mu_min, config.mu_max, config.scan_step)
         return config.mu_min, config.mu_max, exact
+    if config.n_roots < 1:
+        raise ConfigurationError(f"n_roots must be >= 1, got {config.n_roots}")
     gap = math.pi / config.params.length
     hi = config.mu_min + 1.1 * gap * (config.n_roots + 1)
     for _ in range(12):
@@ -324,6 +317,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_modes(config: RunConfig, *indices: int) -> int:
+    if config.mode_samples < 2:
+        raise ConfigurationError(f"mode_samples must be >= 2, got {config.mode_samples}")
     lo, hi, exact = _resolve_window(config)
     if not exact:
         print("no roots found in the requested window", file=sys.stderr)

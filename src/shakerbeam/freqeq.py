@@ -104,6 +104,26 @@ def _phi1(mu, params, s):
         )
 
 
+def _phi1_bound(mu, params):
+    """B(mu) = 5 e^{-2 mu d} + 4 rho/(m mu) + 4 kappa rho/(EI m mu^4) >= |phi1(mu)|
+    for mu > 0, with d = min(l0, l - l0); B decreases in mu.
+
+    Write e_t = e^{-2 mu t} and fold sh, ch and chd as in _phi1.
+    * The O(1) group 2 sh (cd - c) - 2 ch s + 2 s chd + (c + s - cd) equals
+      e_l (c - cd - s) + s (e_l0 + e_{l-l0}), so it is at most 3 e_l + 2 e_d <= 5 e_d.
+    * 0 <= sh <= 1/2, so the rho term is at most 4 rho/(m mu).  This term is
+      sharp: |sh s| reaches 1/2 as e_l -> 0 wherever |sin mu l| = 1.
+    * 0 <= ch - chd <= 1, because 1 + e_l - e_l0 - e_{l-l0} = (1 - e_l0)(1 - e_{l-l0}),
+      so the kappa term is at most (2 kappa rho/(EI m mu^4)) (1 + 2 * 1/2).
+    """
+    l, l0 = params.length, params.attachment_point
+    rho, m = params.linear_density, params.shaker_mass
+    kap, ei = params.spring_stiffness, params.flexural_rigidity
+    with np.errstate(under="ignore"):
+        tail = (4.0 * rho / m + (4.0 * kap * rho / (ei * m)) / mu**3) / mu
+        return 5.0 * _exp_neg(-2.0 * min(l0, l - l0) * mu) + tail
+
+
 def phi(mu, params: BeamParameters):
     """Scaled characteristic function phi0 + phi1; its positive zeros are
     exactly the positive zeros of det M."""

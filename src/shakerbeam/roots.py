@@ -3,10 +3,11 @@
 ``scan_roots`` brackets sign changes of phi or phi0 on a uniform grid and
 refines all brackets of a scan together with a lockstep safeguarded Brent
 iteration: each round evaluates the function once, on an array of the brackets
-still open.  ``verify_localization`` checks the asymptotic pairing structure:
-above a threshold, every truncated root has exactly one exact root in its
-epsilon-neighborhood and the complement holds none.  It and
-``pair_mutual_nearest`` search the sorted root lists by bisection.
+still open.  On a phi grid, phi1 is evaluated only where a phi0 screen cannot
+show that it leaves the scan unchanged.  ``verify_localization`` checks the
+asymptotic pairing structure: above a threshold, every truncated root has
+exactly one exact root in its epsilon-neighborhood and the complement holds
+none.  It and ``pair_mutual_nearest`` search the sorted roots by bisection.
 ``closed_form_roots_half`` generates the explicit root sequence available when
 the attachment sits at midspan.
 """
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import BeamParameters
-from .freqeq import phi, phi0, phi0_prime
+from .freqeq import _phi0, _phi1, _phi1_bound, phi, phi0, phi0_prime
 
 __all__ = [
     "ConfigurationError",
@@ -51,6 +52,7 @@ _MAX_DENOMINATOR = 10**6  # largest q detect_rational_ratio tries
 _BLOCK = 2**13  # grid points per scan block: fits the cache, amortizes numpy calls
 _MU_MIN = 1e-6  # window floor: below ~1e-77, mu**4 underflows and phi is NaN
 _MU_MAX = 1e6  # window limit, the range phi is tested on; scans may end 0.1% past it
+_SCREEN_SPAN = 64  # grid points that share one value of the phi1 envelope
 
 
 class ConfigurationError(ValueError):
@@ -121,9 +123,47 @@ class LocalizationReport:
     rational_ratio: Optional[tuple] = None
 
 
+class _Phi:
+    """phi of one beam: called for refinement, and through grid() on a scan block."""
+
+    def __init__(self, params: BeamParameters):
+        self.params = params
+
+    def __call__(self, mu):
+        return phi(mu, self.params)
+
+    def grid(self, x):
+        """(values, full) for ascending grid points x: values[i] is phi(x[i]), or
+        phi0(x[i]) where the phi0 screen shows phi1 cannot change the scan there;
+        full(i) is phi(x[i]) for an index array i, bit for bit.
+
+        phi = phi0 + phi1 with |phi1| <= B (``_phi1_bound``).  phi1 is added only
+        where |phi0| <= (1 + 1e-9) B + 1e-9; elsewhere phi has the sign of phi0 and
+        |phi| > 1e-9, above _SUSPECT_LEVEL and _GRID_ZERO, so the skipped points
+        give the same signs, zeros and suspects.  B decreases in mu, so each span
+        of _SCREEN_SPAN points takes B at its left end.
+        """
+        p = self.params
+        s = np.sin(x * p.length)
+        values = _phi0(x, p.length, p.attachment_point, s)
+        bound = np.repeat(_phi1_bound(x[::_SCREEN_SPAN], p), _SCREEN_SPAN)[: x.size]
+        keep = np.abs(values) <= (1.0 + 1e-9) * bound + 1e-9
+        if 2 * np.count_nonzero(keep) > x.size:  # most points kept: no gather
+            values += _phi1(x, p, s)
+            return values, values.__getitem__
+        values[keep] += _phi1(x[keep], p, s[keep])
+
+        def full(i):
+            out, late = values[i], ~keep[i]
+            out[late] += _phi1(x[i[late]], p, s[i[late]])
+            return out
+
+        return values, full
+
+
 def _target_fn(target: Target, params: BeamParameters) -> Callable:
     if target is Target.Phi:
-        return lambda mu: phi(mu, params)
+        return _Phi(params)
     return lambda mu: phi0(mu, params.length, params.attachment_point)
 
 
@@ -253,7 +293,12 @@ def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int) ->
     x = np.arange(j0, j1, dtype=float) * ((mu_max - mu_min) / n) + mu_min
     if j1 == n + 1:
         x[-1] = mu_max
-    values = np.asarray(f(x), dtype=float)
+    grid = getattr(f, "grid", None)
+    if grid is None:
+        values = np.asarray(f(x), dtype=float)
+        full = values.__getitem__
+    else:
+        values, full = grid(x)
     own0, own1 = i0 - j0, min(i0 + _BLOCK, n + 1) - j0  # local owned range
     absv = np.abs(values)
     zero = absv < _GRID_ZERO
@@ -270,23 +315,12 @@ def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int) ->
         & (sign[k - 1] * sign[k + 1] > 0.0)
         & (absv[k] >= _GRID_ZERO)
     ]
-    return x[i], values[i], x[i + 1], values[i + 1], x[hits], values[hits], x[k], values[k]
+    return x[i], full(i), x[i + 1], full(i + 1), x[hits], values[hits], x[k], values[k]
 
 
-def scan_with_suspects(
-    target: Target,
-    params: BeamParameters,
-    mu_min: float,
-    mu_max: float,
-    step: float,
-) -> tuple:
-    """Scan a window; return (roots, suspects).
-
-    Suspects are grid local minima of |f| below 1e-10 without a sign change --
-    near-tangent configurations that must not be silently promoted to roots.
-    The grid is walked in blocks, in parallel if there are several blocks and CPUs:
-    memory is O(blocks in flight + roots).  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
-    """
+def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, step: float) -> tuple:
+    """``scan_with_suspects`` as arrays: ((mu, residual, lo, hi, iterations,
+    degenerate) of the roots in ascending mu, (x, fx) of the suspects)."""
     if not (_MU_MIN <= mu_min < mu_max):
         raise ConfigurationError(f"window needs {_MU_MIN:g} <= mu_min < mu_max, got ({mu_min}, {mu_max})")
     if step <= 0.0:
@@ -308,17 +342,44 @@ def scan_with_suspects(
     a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = (
         np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])
     )
-
-    # grid points that are numerically exact zeros: degenerate brackets
-    roots = [Root(x, fx, (x, x), 0, target, True) for x, fx in zip(hit_x.tolist(), hit_f.tolist())]
     x, fx, iterations, lo, hi = _refine_brackets(f, a, fa, b, fb)
     # refinements that miss the residual contract are not roots
     met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
-    brackets = zip(lo[met].tolist(), hi[met].tolist())
-    refined = zip(x[met].tolist(), fx[met].tolist(), brackets, iterations[met].tolist())
-    roots += [Root(*fields, target) for fields in refined]
-    roots.sort(key=lambda r: r.mu)
-    return roots, list(zip(sus_x.tolist(), sus_f.tolist()))
+    # grid points that are numerically exact zeros are degenerate brackets (x, x)
+    columns = [
+        np.concatenate(pair)
+        for pair in (
+            (hit_x, x[met]),
+            (hit_f, fx[met]),
+            (hit_x, lo[met]),
+            (hit_x, hi[met]),
+            (np.zeros(hit_x.size, dtype=int), iterations[met]),
+            (np.ones(hit_x.size, dtype=bool), np.zeros(np.count_nonzero(met), dtype=bool)),
+        )
+    ]
+    order = np.argsort(columns[0], kind="stable")
+    return tuple(column[order] for column in columns), (sus_x, sus_f)
+
+
+def scan_with_suspects(
+    target: Target,
+    params: BeamParameters,
+    mu_min: float,
+    mu_max: float,
+    step: float,
+) -> tuple:
+    """Scan a window; return (roots, suspects).
+
+    Suspects are grid local minima of |f| below 1e-10 without a sign change --
+    near-tangent configurations that must not be silently promoted to roots.
+    The grid is walked in blocks, in parallel if there are several blocks and CPUs:
+    memory is O(blocks in flight + roots).  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
+    """
+    roots, suspects = _scan(target, params, mu_min, mu_max, step)
+    mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)
+    fields = zip(mu, residual, zip(lo, hi), iterations)
+    roots = [Root(*root, target, hit) for root, hit in zip(fields, degenerate)]
+    return roots, list(zip(*(column.tolist() for column in suspects)))
 
 
 def scan_roots(
@@ -397,25 +458,33 @@ def verify_localization(
     if step is None:
         step = math.pi / (80.0 * params.length)
     lo = max(threshold_M, _MU_MIN)
-    anchors = [r.mu for r in scan_roots(Target.Phi0, params, lo, mu_max, step)]
-    anchors = [a for a in anchors if a > threshold_M]
-    gaps = [b - a for a, b in zip(anchors, anchors[1:])]
-    if gaps and epsilon >= 0.5 * min(gaps):
+    anchors = _scan(Target.Phi0, params, lo, mu_max, step)[0][0]
+    anchors = anchors[anchors > threshold_M]
+    gaps = np.diff(anchors)
+    if gaps.size and epsilon >= 0.5 * gaps.min():
         i = int(np.argmin(gaps))
         raise LocalizationPreconditionError(
             f"epsilon = {epsilon:.6g} is not below half the minimum anchor gap"
-            f" {min(gaps):.6g} (between {anchors[i]:.6g} and {anchors[i + 1]:.6g}):"
+            f" {gaps[i]:.6g} (between {anchors[i]:.6g} and {anchors[i + 1]:.6g}):"
             " neighborhoods would overlap"
         )
-    exact = [
-        r.mu
-        for r in scan_roots(Target.Phi, params, lo, mu_max + epsilon, step)
-        if r.mu > threshold_M
-    ]
+    exact = _scan(Target.Phi, params, lo, mu_max + epsilon, step)[0][0]
+    exact = exact[exact > threshold_M]
 
+    # anchors are more than 2 epsilon apart, so an exact root lies in at most
+    # one neighborhood, that of one of its two neighbouring anchors
+    owner = np.full(exact.size, -1)
+    if anchors.size:
+        above = np.searchsorted(anchors, exact)
+        for k in (np.maximum(above - 1, 0), np.minimum(above, anchors.size - 1)):
+            owner = np.where(np.abs(exact - anchors[k]) < epsilon, k, owner)
+    owned = owner >= 0
+    counts = np.bincount(owner[owned], minlength=anchors.size).tolist()
+    starts = np.searchsorted(owner[owned], np.arange(anchors.size)).tolist()
+    inside_all = exact[owned].tolist()
     pairings = []
-    for anchor in anchors:
-        inside = _within(exact, anchor, epsilon)
+    for anchor, start, count in zip(anchors.tolist(), starts, counts):
+        inside = inside_all[start : start + count]
         if len(inside) == 1:
             status = PairingStatus.PairedUnique
             partner, dist = inside[0], abs(inside[0] - anchor)
@@ -434,7 +503,7 @@ def verify_localization(
                 status=status,
             )
         )
-    strays = tuple(m for m in exact if m <= mu_max and not _within(anchors, m, epsilon))
+    strays = tuple(exact[~owned & (exact <= mu_max)].tolist())
     verdict = bool(
         all(p.status is PairingStatus.PairedUnique for p in pairings) and not strays
     )
@@ -444,13 +513,12 @@ def verify_localization(
     in_neighborhood = np.zeros(sample.shape, dtype=bool)
     l, l0 = params.length, params.attachment_point
     margin_p = None
-    if anchors:
+    if anchors.size:
         # a sample's nearest anchor is one of its two neighbours in the list
-        arr = np.array(anchors)
-        above = np.minimum(np.searchsorted(arr, sample), len(arr) - 1)
+        above = np.minimum(np.searchsorted(anchors, sample), anchors.size - 1)
         for k in (np.maximum(above - 1, 0), above):
-            in_neighborhood |= np.abs(sample - arr[k]) < epsilon
-        margin_p = float(np.min(np.abs(phi0_prime(arr, l, l0))))
+            in_neighborhood |= np.abs(sample - anchors[k]) < epsilon
+        margin_p = float(np.min(np.abs(phi0_prime(anchors, l, l0))))
     phi0_vals = np.abs(phi0(sample, l, l0))
     complement_vals = phi0_vals[(~in_neighborhood) & (sample > threshold_M)]
     margin_c = float(np.min(complement_vals)) if complement_vals.size else None
@@ -465,17 +533,6 @@ def verify_localization(
         min_abs_phi0_prime_neighborhoods=margin_p,
         rational_ratio=rational,
     )
-
-
-def _within(values: list, center: float, radius: float) -> list:
-    """The values v of an ascending list with abs(v - center) < radius.
-
-    Bisection on the doubled interval finds a superset despite the rounding
-    of center +- radius; the exact test then picks from it.
-    """
-    lo = bisect.bisect_left(values, center - 2.0 * radius)
-    hi = bisect.bisect_right(values, center + 2.0 * radius)
-    return [v for v in values[lo:hi] if abs(v - center) < radius]
 
 
 def _nearest(x: float, pool: list):

@@ -46,6 +46,12 @@ parts and skipped numpy's slow path for underflowing exponentials:
   The package's kernel does the same arithmetic per point, so the two must
   be equal, not just close.
 
+and a high-precision form of the correction term:
+
+* ``phi1_mp`` -- phi1 in mpmath with the hyperbolics unfolded (sinh mu l,
+  cosh mu l and cosh mu (l - 2 l0), each times e^{-mu l}), the reference for
+  the envelope ``shakerbeam.freqeq._phi1_bound``.
+
 and the quadrature that ``shakerbeam.normalize_L2`` replaced by a closed form:
 
 * ``_branch_quadrature`` -- the integral of u^2 over [0, l] by one
@@ -450,6 +456,29 @@ def phi0_unfused(mu, l: float, l0: float):
     mu = np.asarray(mu, dtype=float)
     out = 2.0 * np.sin(mu * (l - l0)) * np.sin(mu * l0) - np.sin(mu * l)
     return float(out) if out.ndim == 0 else out
+
+
+def phi1_mp(mu: float, params: BeamParameters, dps: int = 40):
+    """phi1 at the double mu, as an mpmath number computed with dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mu = mpmath.mpf(mu)
+        l, l0 = mpmath.mpf(params.length), mpmath.mpf(params.attachment_point)
+        scale = mpmath.exp(-mu * l)
+        sh, ch = mpmath.sinh(mu * l) * scale, mpmath.cosh(mu * l) * scale
+        chd = mpmath.cosh(mu * (l - 2 * l0)) * scale
+        s, c, cd = mpmath.sin(mu * l), mpmath.cos(mu * l), mpmath.cos(mu * (l - 2 * l0))
+        rho, m = mpmath.mpf(params.linear_density), mpmath.mpf(params.shaker_mass)
+        kap, ei = mpmath.mpf(params.spring_stiffness), mpmath.mpf(params.flexural_rigidity)
+        return +(
+            2 * sh * (cd - c)
+            - 2 * ch * s
+            + 2 * s * chd
+            + (c + s - cd)
+            - (8 * rho / (m * mu)) * sh * s
+            + (2 * kap * rho / (ei * m * mu**4)) * ((ch - chd) * s + (c - cd) * sh)
+        )
 
 
 def _branch_quadrature(mode: ModeShape, n: int) -> float:

@@ -90,6 +90,24 @@ class TestConfig:
     def test_bad_window_exits_1(self, tmp_path):
         assert main(["--out", str(tmp_path), "roots", "--mu-min", "5", "--mu-max", "2"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["roots", "--n-roots", "0"], ""),
+            (["growth", "--n-roots", "0"], ""),
+            (["modes", "1", "--n-roots", "0"], ""),
+            (["modes", "1"], "mode_samples = 1\n"),
+        ],
+        ids=["roots-n_roots", "growth-n_roots", "modes-n_roots", "modes-mode_samples"],
+    )
+    def test_commands_check_the_settings_they_read(self, argv, text, tmp_path, capfd):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(tmp_path), *argv]) == 1
+        err = capfd.readouterr().err
+        assert "must be >= " in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
     def test_direct_rho_wins_over_malformed_composite(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("rho = 0.6075 kg/m\nrho0 = 12 parsecs\n")
@@ -272,6 +290,20 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             main(["--out", str(tmp_path), "--quiet", "verify", "--threshold", "15"])
         assert not (tmp_path / "localization.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threshold", "0", "--mu-max", "1e-3"],  # below the default mu_min
+            ["--threshold", "15", "--mu-min", "50"],  # above the default mu_max
+            ["--threshold", "15", "--n-roots", "0"],
+        ],
+        ids=["mu_max-below-mu_min", "mu_min-above-mu_max", "n_roots-0"],
+    )
+    def test_settings_it_does_not_read_are_not_checked(self, argv, tmp_path, capfd):
+        assert main(["--out", str(tmp_path), "--quiet", "verify", *argv]) == 0
+        assert json.loads((tmp_path / "localization.json").read_text())["verdict"] is True
+        assert capfd.readouterr().err == ""
 
     def test_window_at_limit_accepted(self, tmp_path):
         # the exact-root scan runs epsilon past mu_max = 1e6

@@ -3,6 +3,7 @@ determinant), the scaled form and its decomposition into dominant and
 correction parts, and its agreement with the scaled interface system that
 the modes are built from."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from shakerbeam import (
     phi0_prime,
     phi1,
 )
-from shakerbeam.freqeq import _exp_neg
+from shakerbeam.freqeq import _exp_neg, _phi1_bound
 from shakerbeam.modes import _interface_system
 from conftest import seeded_beams
 from reference import (
@@ -30,6 +31,7 @@ from reference import (
     interface_matrix,
     krylov,
     phi0_unfused,
+    phi1_mp,
     phi1_unfused,
     phi_unfused,
 )
@@ -268,3 +270,38 @@ class TestFusedKernel:
         with np.errstate(all="raise"):
             assert np.array_equal(phi(g, params), expected)
             assert [phi(mu, params) for mu in g[::500].tolist()] == expected[::500].tolist()
+
+
+class TestPhi1Bound:
+    """B(mu) = 5 e^{-2 mu d} + 4 rho/(m mu) + 4 kappa rho/(EI m mu^4) bounds
+    |phi1| for mu in [1e-6, 1e6]; the Phi scan skips phi1 where |phi0| > B.
+    Rounding may put a computed |phi1| an ulp above B, hence the 1e-12."""
+
+    @staticmethod
+    def _beams(params, half_params):
+        beams = [params, half_params] + seeded_beams(20261022, 6)
+        for beam in (params, *seeded_beams(20261023, 2)):
+            beams += [dataclasses.replace(beam, attachment_point=r * beam.length) for r in (0.05, 0.95)]
+        return beams
+
+    def test_bounds_high_precision_phi1(self, params, half_params):
+        for beam in self._beams(params, half_params):
+            # where |sin mu l| = 1 the 4 rho/(m mu) term is sharp
+            peaks = (math.pi / 2.0 + np.geomspace(1.0, 5e5, 10).round() * math.pi) / beam.length
+            for mu in np.concatenate([np.geomspace(1e-6, 1e6, 25), peaks]).tolist():
+                bound = float(_phi1_bound(np.array([mu]), beam)[0])
+                assert abs(phi1_mp(mu, beam)) <= (1.0 + 1e-12) * bound
+
+    def test_bounds_phi1_on_dense_grids(self, params, half_params):
+        mu = np.concatenate([np.geomspace(1e-6, 1e6, 200_001), np.linspace(15.0, 1000.0, 50_001)])
+        for beam in self._beams(params, half_params):
+            bound, value = _phi1_bound(mu, beam), np.abs(phi1(mu, beam))
+            assert np.all(value <= (1.0 + 1e-12) * bound)
+            # and it is sharp: a bound 0.1% lower fails
+            high = mu >= 100.0
+            assert np.max(value[high] / bound[high]) > 0.999
+
+    def test_decreasing(self, params, half_params):
+        mu = np.geomspace(1e-6, 1e6, 100_001)
+        for beam in self._beams(params, half_params):
+            assert np.all(np.diff(_phi1_bound(mu, beam)) <= 0.0)

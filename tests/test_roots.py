@@ -32,7 +32,8 @@ from shakerbeam import (
 )
 import shakerbeam.roots
 import reference
-from shakerbeam.roots import _refine_brackets
+from shakerbeam.freqeq import _phi1, _phi1_bound
+from shakerbeam.roots import _refine_brackets, _scan
 from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, default_step, seeded_beams
 from reference import _brent, pair_mutual_nearest_quadratic, scan_with_suspects_scalar
 
@@ -352,6 +353,78 @@ class TestBlockScan:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+class TestPhiScreen:
+    """The Phi grid adds phi1 to phi0 only where |phi0| is within the phi1
+    envelope, and at the bracket ends the screen skipped: the scan must equal
+    the unscreened one bit for bit."""
+
+    WINDOWS = [
+        (1e-6, 0.5),
+        (0.1, 38.5),
+        (0.1, 1000.0),
+        (15.0, 1000.35),
+        (450.0, 500.0),
+        (9.99e4, 1e5),
+        (999000.0, 1000003.0),
+    ]
+
+    @staticmethod
+    def _beams(params, half_params):
+        beams = [params, half_params] + seeded_beams(20261024, 5)
+        for beam in (params, *seeded_beams(20261025, 1)):
+            beams += [dataclasses.replace(beam, attachment_point=r * beam.length) for r in (0.05, 0.95)]
+        return beams
+
+    @staticmethod
+    def _unscreened(monkeypatch):
+        target_fn = shakerbeam.roots._target_fn
+        monkeypatch.setattr(
+            shakerbeam.roots,
+            "_target_fn",
+            lambda target, p: (lambda mu: phi(mu, p)) if target is Target.Phi else target_fn(target, p),
+        )
+
+    def test_equals_unscreened_scan(self, params, half_params, monkeypatch):
+        cases = [
+            (beam, lo, hi)
+            for beam in self._beams(params, half_params)
+            for lo, hi in self.WINDOWS
+        ]
+        screened = [
+            scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) for beam, lo, hi in cases
+        ]
+        self._unscreened(monkeypatch)
+        for (beam, lo, hi), want in zip(cases, screened):
+            assert scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) == want
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_skipped_bracket_ends_on_block_edges(self, params, monkeypatch, block):
+        # near mu = 1000 on the default beam B < 0.03, so one or both ends of
+        # most brackets lie outside the screen; small blocks put them on block edges
+        args = (Target.Phi, params, 950.0, 1000.0, default_step(params))
+        x = np.linspace(950.0, 1000.0, int(math.ceil(50.0 / args[4])) + 1)
+        outside = np.abs(phi0(x, params.length, params.attachment_point)) > _phi1_bound(x, params)
+        f = phi(x, params)
+        i = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+        assert np.any(outside[i] & outside[i + 1])
+        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
+        screened = scan_with_suspects(*args)
+        self._unscreened(monkeypatch)
+        assert scan_with_suspects(*args) == screened
+
+    def test_phi1_on_few_grid_points(self, params, monkeypatch):
+        points = []
+
+        def counting_phi1(mu, p, s):
+            points.append(np.size(mu))
+            return _phi1(mu, p, s)
+
+        monkeypatch.setattr(shakerbeam.roots, "_phi1", counting_phi1)
+        step = default_step(params)
+        scan_with_suspects(Target.Phi, params, 15.0, 1000.0, step)
+        assert 0 < sum(points) < 0.15 * (math.ceil(985.0 / step) + 1)
+
+
 class TestWindowLimit:
     """Windows start at mu_min >= 1e-6 and end at mu_max <= 1e6; a scan may
     reach 0.1% past the end."""
@@ -548,61 +621,72 @@ class TestVerifyLocalization:
         with pytest.raises(ConfigurationError, match="threshold"):
             verify_localization(params, 0.35, threshold, 38.5)
 
-    def test_matches_brute_force_to_mu_1000(self, params, monkeypatch):
-        # every anchor against every exact root, from the report's own scans
-        import shakerbeam.roots
-
+    @staticmethod
+    def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch):
+        """Every anchor against every exact root, from the report's own scans."""
         scans = []
 
-        def recording_scan_roots(*args):
-            scans.append(scan_roots(*args))
+        def recording_scan(*args):
+            scans.append(_scan(*args))
             return scans[-1]
 
-        monkeypatch.setattr(shakerbeam.roots, "scan_roots", recording_scan_roots)
-        threshold, mu_max = 15.0, 1000.0
+        monkeypatch.setattr(shakerbeam.roots, "_scan", recording_scan)
+        report = verify_localization(beam, epsilon, threshold, mu_max)
+        truncated, exact = (found[0][0].tolist() for found in scans)
+        anchors = [a for a in truncated if a > threshold]
+        exact = [m for m in exact if m > threshold]
+        pairings = []
+        for a in anchors:
+            inside = [m for m in exact if abs(m - a) < epsilon]
+            if not inside:
+                pairings.append((a, None, None, PairingStatus.NoExactRootInNeighborhood))
+                continue
+            partner = min(inside, key=lambda m: abs(m - a))
+            status = (
+                PairingStatus.PairedUnique
+                if len(inside) == 1
+                else PairingStatus.MultipleExactRoots
+            )
+            pairings.append((a, partner, abs(partner - a), status))
+        strays = tuple(
+            m
+            for m in exact
+            if m <= mu_max and all(abs(m - a) >= epsilon for a in anchors)
+        )
+        verdict = not strays and all(
+            p[3] is PairingStatus.PairedUnique for p in pairings
+        )
+        got = [
+            (p.truncated_root, p.exact_root, p.distance, p.status)
+            for p in report.pairings
+        ]
+        assert got == pairings
+        assert report.stray_roots == strays
+        assert report.verdict is verdict
+        assert all(p.epsilon == epsilon for p in report.pairings)
+        sample = np.linspace(max(threshold, 1e-6), mu_max, 4001)
+        outside = sample > threshold
+        for a in anchors:
+            outside &= np.abs(sample - a) >= epsilon
+        margin = np.min(np.abs(phi0(sample, beam.length, beam.attachment_point))[outside])
+        assert report.min_abs_phi0_complement == margin
+        return report
+
+    def test_matches_brute_force_to_mu_1000(self, params, monkeypatch):
         for ratio in np.random.default_rng(5).uniform(0.1, 0.9, 5):
             beam = dataclasses.replace(params, attachment_point=ratio * params.length)
             for epsilon in (0.35, 0.05):
-                scans.clear()
-                report = verify_localization(beam, epsilon, threshold, mu_max)
-                truncated, exact = ([r.mu for r in roots] for roots in scans)
-                anchors = [a for a in truncated if a > threshold]
-                exact = [m for m in exact if m > threshold]
-                pairings = []
-                for a in anchors:
-                    inside = [m for m in exact if abs(m - a) < epsilon]
-                    if not inside:
-                        pairings.append((a, None, None, PairingStatus.NoExactRootInNeighborhood))
-                        continue
-                    partner = min(inside, key=lambda m: abs(m - a))
-                    status = (
-                        PairingStatus.PairedUnique
-                        if len(inside) == 1
-                        else PairingStatus.MultipleExactRoots
-                    )
-                    pairings.append((a, partner, abs(partner - a), status))
-                strays = tuple(
-                    m
-                    for m in exact
-                    if m <= mu_max and all(abs(m - a) >= epsilon for a in anchors)
-                )
-                verdict = not strays and all(
-                    p[3] is PairingStatus.PairedUnique for p in pairings
-                )
-                got = [
-                    (p.truncated_root, p.exact_root, p.distance, p.status)
-                    for p in report.pairings
-                ]
-                assert got == pairings
-                assert report.stray_roots == strays
-                assert report.verdict is verdict
-                assert all(p.epsilon == epsilon for p in report.pairings)
-                sample = np.linspace(threshold, mu_max, 4001)
-                outside = sample > threshold
-                for a in anchors:
-                    outside &= np.abs(sample - a) >= epsilon
-                margin = np.min(np.abs(phi0(sample, beam.length, beam.attachment_point))[outside])
-                assert report.min_abs_phi0_complement == margin
+                self._check_against_brute_force(beam, epsilon, 15.0, 1000.0, monkeypatch)
+
+    def test_matches_brute_force_with_multiple_roots(self, monkeypatch):
+        # from mu = 0 some neighborhoods hold two exact roots: the partner is
+        # the nearest, the lower one on a tie
+        statuses = set()
+        for beam in seeded_beams(11, 2):
+            for epsilon in (0.35, 0.6):
+                report = self._check_against_brute_force(beam, epsilon, 0.0, 38.5, monkeypatch)
+                statuses |= {p.status for p in report.pairings}
+        assert statuses == set(PairingStatus) - {PairingStatus.UnpairedExactRoot}
 
     def test_distances_shrink_with_mu(self, params):
         report = verify_localization(params, 0.45, 12.0, 38.5)
