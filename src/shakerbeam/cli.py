@@ -55,6 +55,7 @@ _DEFAULT_RAW_PARAMS = {
 }
 
 _PARAM_KEYS = set(_DEFAULT_RAW_PARAMS) | {"rho"}
+_MAX_MODE_SAMPLES = 10**6  # points per mode CSV; more would only exhaust memory
 
 # key -> (type, subcommand flag or None, help).  A config file may set every
 # key; l0 is a beam parameter, so a file gives it with a unit, as above.  The
@@ -317,8 +318,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_modes(config: RunConfig, *indices: int) -> int:
-    if config.mode_samples < 2:
-        raise ConfigurationError(f"mode_samples must be >= 2, got {config.mode_samples}")
+    if not 2 <= config.mode_samples <= _MAX_MODE_SAMPLES:
+        raise ConfigurationError(f"mode_samples must be >= 2 and <= {_MAX_MODE_SAMPLES}, got {config.mode_samples}")
     lo, hi, exact = _resolve_window(config)
     if not exact:
         print("no roots found in the requested window", file=sys.stderr)

@@ -79,8 +79,8 @@ def _exp_neg(x):
 
 
 def _phi1(mu, params, s):
-    """phi1 given s = sin(mu l); its subnormal underflow is ignored whatever
-    the caller's np.errstate, so that it gives the same result in any thread."""
+    """phi1 given s = sin(mu l); its subnormal underflow is ignored, so that it
+    gives the same result whatever the caller's np.errstate."""
     if np.any(mu <= 0.0):
         raise DomainError("mu must be positive")
     l, l0 = params.length, params.attachment_point

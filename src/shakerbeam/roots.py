@@ -17,8 +17,6 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -53,6 +51,7 @@ _BLOCK = 2**13  # grid points per scan block: fits the cache, amortizes numpy ca
 _MU_MIN = 1e-6  # window floor: below ~1e-77, mu**4 underflows and phi is NaN
 _MU_MAX = 1e6  # window limit, the range phi is tested on; scans may end 0.1% past it
 _SCREEN_SPAN = 64  # grid points that share one value of the phi1 envelope
+_MAX_POINTS = 2**32  # grid size limit, ~90x the default grid to mu = 1e6
 
 
 class ConfigurationError(ValueError):
@@ -259,31 +258,6 @@ def _refine_brackets(f: Callable, a, fa, b, fb):
     return best_x, best_f, iterations, lo, hi
 
 
-_pool = None  # the scan's ThreadPoolExecutor, created on first use
-_pool_lock = threading.Lock()
-# a forked child has none of the parent's threads: it builds its own pool
-os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _pool_lock=threading.Lock()))
-
-
-def _map_blocks(reduce: Callable, n: int):
-    """reduce(i0) for the start i0 of each block of the n + 1 grid points, in order,
-    mapped in slices of two starts per worker: in the calling thread if there is one
-    block or one CPU, else on the shared thread pool, whose map cancels a slice's
-    unstarted blocks when one raises.  At most one slice of results is held."""
-    global _pool
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    serial = workers < 2 or n + 1 <= _BLOCK
-    if not serial:
-        with _pool_lock:
-            if _pool is None:
-                from concurrent.futures import ThreadPoolExecutor  # imports logging: ~10 ms
-
-                _pool = ThreadPoolExecutor(workers, thread_name_prefix="shakerbeam-scan")
-    starts = range(0, n + 1, _BLOCK)
-    for k in range(0, len(starts), 2 * workers):
-        yield from (map if serial else _pool.map)(reduce, starts[k : k + 2 * workers])
-
-
 def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int) -> tuple:
     """Points i0 <= i < i0 + _BLOCK of np.linspace(mu_min, mu_max, n + 1), bit for
     bit, reduced to arrays (a, fa, b, fb) of sign-changing brackets, (x, fx) of
@@ -325,8 +299,8 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
         raise ConfigurationError(f"window needs {_MU_MIN:g} <= mu_min < mu_max, got ({mu_min}, {mu_max})")
     if step <= 0.0:
         raise ConfigurationError(f"step must be positive, got {step}")
-    if not (math.isfinite(mu_max) and math.isfinite(step) and math.isfinite((mu_max - mu_min) / step)):
-        raise ConfigurationError(f"window, step and grid size must be finite, got {mu_max=}, {step=}")
+    if not (math.isfinite(mu_max) and math.isfinite(step)):
+        raise ConfigurationError(f"window and step must be finite, got {mu_max=}, {step=}")
     max_step = math.pi / (4.0 * params.length)
     if step >= max_step:
         raise ConfigurationError(
@@ -335,9 +309,11 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
         )
     if mu_max > 1.001 * _MU_MAX:
         raise ConfigurationError(f"mu_max = {mu_max} is above the window limit {_MU_MAX:g}")
+    if (mu_max - mu_min) / step >= _MAX_POINTS:
+        raise ConfigurationError(f"step {step:g} too fine: the grid would exceed {_MAX_POINTS} points")
     f = _target_fn(target, params)
     n = int(math.ceil((mu_max - mu_min) / step))
-    blocks = _map_blocks(lambda i0: _reduce_block(f, mu_min, mu_max, n, i0), n)
+    blocks = (_reduce_block(f, mu_min, mu_max, n, i0) for i0 in range(0, n + 1, _BLOCK))
     parts = [block for block in blocks if any(part.size for part in block)]
     a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = (
         np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])
@@ -372,8 +348,8 @@ def scan_with_suspects(
 
     Suspects are grid local minima of |f| below 1e-10 without a sign change --
     near-tangent configurations that must not be silently promoted to roots.
-    The grid is walked in blocks, in parallel if there are several blocks and CPUs:
-    memory is O(blocks in flight + roots).  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
+    The grid is walked in blocks: memory is O(block + roots).  The window lies
+    in [_MU_MIN, 1.001 * _MU_MAX].
     """
     roots, suspects = _scan(target, params, mu_min, mu_max, step)
     mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)

@@ -336,6 +336,33 @@ class TestWindowLimit:
         err = capfd.readouterr().err
         assert "limit" in err and "Traceback" not in err
 
+    def test_tiny_step_exits_1_at_once(self, tmp_path, capfd):
+        # 1e-300 overflows the block count; 1e-12 gives 3.8e13 grid points
+        for step in ("1e-300", "1e-12"):
+            tracemalloc.start()
+            try:
+                assert main(["--out", str(tmp_path), "--quiet", "roots", "--step", step]) == 1
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            err = capfd.readouterr().err
+            assert "configuration error" in err and "Traceback" not in err
+
+    def test_huge_mode_samples_exits_1_at_once(self, tmp_path, capfd):
+        path = tmp_path / "c.cfg"
+        path.write_text("mode_samples = 1000000000000000\n")
+        tracemalloc.start()
+        try:
+            assert main(["--config", str(path), "--out", str(tmp_path), "--quiet", "modes"]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        err = capfd.readouterr().err
+        assert "mode_samples" in err and "Traceback" not in err
+        assert not (tmp_path / "mode_1.csv").exists()
+
     def test_below_floor_exits_1_without_warning(self, tmp_path, capfd):
         # phi is NaN on the whole grid below mu ~ 1e-77: nothing is scanned
         argv = ["--out", str(tmp_path), "roots", "--mu-min", "1e-200", "--mu-max", "1e-100"]

@@ -263,8 +263,8 @@ class TestFusedKernel:
             assert all(_exp_neg(np.array(v)) == np.exp(v) for v in x[::4000].tolist())
 
     def test_independent_of_caller_errstate(self, params):
-        # worker threads do not inherit np.errstate; the subnormal band must
-        # neither raise nor change under the strictest setting
+        # whatever the caller's np.errstate, the subnormal band must neither
+        # raise nor change: here under the strictest setting
         g = _subnormal_bands(params)
         expected = phi(g, params)
         with np.errstate(all="raise"):

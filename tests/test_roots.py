@@ -7,9 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
-import concurrent.futures
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -222,8 +222,8 @@ def _edge_features(x):
 
 
 class TestBlockScan:
-    """The scan walks its grid in blocks with a one-point halo; every block
-    size and the serial and threaded paths must give the whole-grid result."""
+    """The scan walks its grid in blocks with a one-point halo, in the calling
+    thread; every block size must give the whole-grid result."""
 
     SHORT = [(0.1, 38.5), (450.0, 500.0)]
     LONG = [(0.1, 1000.0), (15.0, 1000.35)]
@@ -264,19 +264,6 @@ class TestBlockScan:
         assert [r.degenerate for r in roots] == [False, True, False]
         assert suspects == [(25.0, 1e-11), (32.0, 1e-11)]
 
-    def test_serial_equals_threaded(self, half_params, monkeypatch):
-        cases = [
-            (target, beam, lo, hi, default_step(beam))
-            for beam in seeded_beams(20261020, 3)
-            for target in Target
-            for lo, hi in self.SHORT + self.LONG
-        ] + [self._midspan_args(half_params)]
-        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 512)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        serial = [scan_with_suspects(*args) for args in cases]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert [scan_with_suspects(*args) for args in cases] == serial
-
     def test_block_points_equal_linspace(self, params, monkeypatch):
         # every grid point, the last one included, is the np.linspace point
         calls = []
@@ -294,7 +281,7 @@ class TestBlockScan:
             points = np.unique(np.concatenate(calls))
             assert np.array_equal(points, np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1))
 
-    def test_worker_exception_reaches_caller(self, params, monkeypatch):
+    def test_block_exception_reaches_caller(self, params, monkeypatch):
         class Boom(Exception):
             pass
 
@@ -305,23 +292,13 @@ class TestBlockScan:
 
         monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: explode)
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with pytest.raises(Boom, match="block above 30"):
             scan_with_suspects(Target.Phi, params, 0.1, 38.5, default_step(params))
 
-    def test_concurrent_callers_share_one_pool(self, params, monkeypatch):
+    def test_concurrent_callers_get_the_same_scan(self, params, monkeypatch):
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 256)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         args = (Target.Phi, params, 0.1, 38.5, default_step(params))
         expected = scan_with_suspects(*args)
-        created = []
-
-        def counting_executor(*a, **kw):
-            created.append(ThreadPoolExecutor(*a, **kw))
-            return created[-1]
-
-        monkeypatch.setattr(shakerbeam.roots, "_pool", None)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_executor)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -330,27 +307,23 @@ class TestBlockScan:
                 results = list(scans)
         finally:
             sys.setswitchinterval(interval)
-            for pool in created:
-                pool.shutdown()
         assert results == [expected] * 16
-        assert len(created) == 1
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_builds_its_own_pool(self, params, monkeypatch):
+    def test_multi_block_scan_starts_no_thread(self, params, monkeypatch):
+        callers = set()
+
+        def sine(x):
+            callers.add(threading.get_ident())
+            return np.sin(x)
+
+        monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: sine)
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        args = (Target.Phi, params, 0.1, 38.5, default_step(params))
-        expected = scan_with_suspects(*args)
-        assert shakerbeam.roots._pool is not None
-        with warnings.catch_warnings():
-            # Python 3.12+ warns about forking a process that has threads
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            ok = shakerbeam.roots._pool is None and scan_with_suspects(*args) == expected
-            os._exit(0 if ok else 1)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+        threads = threading.active_count()
+        roots, _ = scan_with_suspects(Target.Phi, params, 0.1, 38.5, default_step(params))
+        assert len(roots) == 12  # the zeros k pi of sin in (0.1, 38.5)
+        assert callers == {threading.get_ident()}
+        assert threading.active_count() == threads
 
 
 class TestPhiScreen:
