@@ -15,6 +15,8 @@ function
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import BeamParameters, DomainError
@@ -74,7 +76,10 @@ def phi1(mu, params: BeamParameters):
 
 
 def _exp_neg(x):
-    """np.exp(x) without numpy's slow underflow path: exp rounds to 0.0 for x <= -746."""
+    """np.exp(x) without numpy's slow underflow path: exp rounds to 0.0 for x <= -746.
+    A float x takes math.exp, which is faster on one value."""
+    if isinstance(x, float):
+        return math.exp(x)
     return np.exp(x, out=np.zeros_like(x), where=x > -746.0)
 
 
@@ -122,6 +127,39 @@ def _phi1_bound(mu, params):
     with np.errstate(under="ignore"):
         tail = (4.0 * rho / m + (4.0 * kap * rho / (ei * m)) / mu**3) / mu
         return 5.0 * _exp_neg(-2.0 * min(l0, l - l0) * mu) + tail
+
+
+def _phi1_prime_bound(mu, params):
+    """B'(mu) = 12 l e_d + (4 rho/(m mu)) (l (1 + e_l) + 1/mu)
+    + (3 kappa rho/(EI m mu^4)) (l (1 + 2 e_d) + 4/mu) >= |phi1'(mu)| for mu > 0,
+    with e_t = e^{-2 mu t} and d = min(l0, l - l0); B' decreases in mu.
+
+    Differentiate _phi1 group by group, with e_t' = -2 t e_t, sh' = l e_l,
+    s' = l c, c' = -l s, cd' = -delta sin(mu delta) for delta = l - 2 l0,
+    |delta| < l, and e_l, e_l0, e_{l-l0} <= e_d.
+    * The O(1) group G = e_l (c - cd - s) + s (e_l0 + e_{l-l0}) has
+      G' = -2 l e_l (c - cd - s) + e_l (delta sin(mu delta) - l (s + c))
+      + l c (e_l0 + e_{l-l0}) - 2 s (l0 e_l0 + (l - l0) e_{l-l0}),
+      so |G'| <= (2 (1 + sqrt 2) + sqrt 2 + 1 + 2 + 2) l e_d < 12 l e_d.
+    * The rho term -(8 rho/m) sh s/mu has derivative
+      -(8 rho/m) ((sh' s + l sh c)/mu - sh s/mu^2), and
+      |sh' s + l sh c| <= l e_l + l (1 - e_l)/2 = l (1 + e_l)/2, |sh s| <= 1/2.
+      Its leading part 4 rho l/(m mu) is sharp where |cos mu l| = 1.
+    * The kappa term (2 kappa rho/(EI m)) H/mu^4 with H = (ch - chd) s + (c - cd) sh
+      has derivative (2 kappa rho/(EI m)) (H'/mu^4 - 4 H/mu^5).  Here
+      0 <= ch - chd = (1 - e_l0)(1 - e_{l-l0})/2 <= 1/2, so |H| <= 3/2, and
+      H' = (ch' - chd') s + l (ch - chd) c - (l s - delta sin(mu delta)) sh + (c - cd) sh'
+      with ch' - chd' = -l e_l + l0 e_l0 + (l - l0) e_{l-l0}, a difference of
+      two terms in [0, l e_d]; so |H'| <= l e_d + l/2 + l + 2 l e_l <= (3/2) l (1 + 2 e_d).
+    """
+    l, l0 = params.length, params.attachment_point
+    rho, m = params.linear_density, params.shaker_mass
+    kap, ei = params.spring_stiffness, params.flexural_rigidity
+    with np.errstate(under="ignore"):
+        e_d = _exp_neg(-2.0 * min(l0, l - l0) * mu)
+        rho_term = (4.0 * rho / m) * (l * (1.0 + _exp_neg(-2.0 * l * mu)) + 1.0 / mu) / mu
+        kap_term = (3.0 * kap * rho / (ei * m)) * (l * (1.0 + 2.0 * e_d) + 4.0 / mu) / mu**4
+        return 12.0 * l * e_d + rho_term + kap_term
 
 
 def phi(mu, params: BeamParameters):

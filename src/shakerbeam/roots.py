@@ -1,10 +1,13 @@
 """Root location for the exact and truncated characteristic functions.
 
-``scan_roots`` brackets sign changes of phi or phi0 on a uniform grid and
-refines all brackets of a scan together with a lockstep safeguarded Brent
-iteration: each round evaluates the function once, on an array of the brackets
-still open.  On a phi grid, phi1 is evaluated only where a phi0 screen cannot
-show that it leaves the scan unchanged.  ``verify_localization`` checks the
+``scan_roots`` brackets sign changes of phi or phi0 on a uniform grid up to
+mu*, the edge (pi/4 + k pi)/l from which every half-period between two such
+edges provably holds exactly one root (``_certified``); above mu* the edges
+themselves are the brackets.  It refines all brackets of a scan together with
+a lockstep safeguarded Brent iteration: each round evaluates the function
+once, on an array of the brackets still open.  On a phi grid, phi1 is
+evaluated only where a phi0 screen cannot show that it leaves the scan
+unchanged.  ``verify_localization`` checks the
 asymptotic pairing structure: above a threshold, every truncated root has
 exactly one exact root in its epsilon-neighborhood and the complement holds
 none.  It and ``pair_mutual_nearest`` search the sorted roots by bisection.
@@ -24,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import BeamParameters
-from .freqeq import _phi0, _phi1, _phi1_bound, phi, phi0, phi0_prime
+from .freqeq import _phi0, _phi1, _phi1_bound, _phi1_prime_bound, phi, phi0, phi0_prime
 
 __all__ = [
     "ConfigurationError",
@@ -258,29 +261,18 @@ def _refine_brackets(f: Callable, a, fa, b, fb):
     return best_x, best_f, iterations, lo, hi
 
 
-def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int) -> tuple:
-    """Points i0 <= i < i0 + _BLOCK of np.linspace(mu_min, mu_max, n + 1), bit for
-    bit, reduced to arrays (a, fa, b, fb) of sign-changing brackets, (x, fx) of
-    exact grid zeros and (x, fx) of suspects.  A one-point halo on each side
-    makes brackets (i, i + 1) and suspects (i - 1, i, i + 1) as on the whole grid."""
-    j0, j1 = max(i0 - 1, 0), min(i0 + _BLOCK + 1, n + 1)
-    x = np.arange(j0, j1, dtype=float) * ((mu_max - mu_min) / n) + mu_min
-    if j1 == n + 1:
-        x[-1] = mu_max
-    grid = getattr(f, "grid", None)
-    if grid is None:
-        values = np.asarray(f(x), dtype=float)
-        full = values.__getitem__
-    else:
-        values, full = grid(x)
-    own0, own1 = i0 - j0, min(i0 + _BLOCK, n + 1) - j0  # local owned range
+def _reduce(x, values, full, own0: int, own1: int) -> tuple:
+    """Reduce ascending points x with their values to arrays (a, fa, b, fb) of
+    sign-changing brackets (x[i], x[i + 1]), (x, fx) of exact zeros and (x, fx) of
+    suspects, for the owned points own0 <= i < own1; full(i) gives the exact
+    value at an index array i where values may hold a screened one."""
     absv = np.abs(values)
     zero = absv < _GRID_ZERO
     hits = np.flatnonzero(zero[own0:own1]) + own0
     sign = np.sign(values)
     sign[zero] = 0.0
     i = np.flatnonzero((sign[:-1] * sign[1:] < 0.0)[own0:own1]) + own0
-    # local minima of |f| below the suspect level without a sign change, not at the grid's ends
+    # local minima of |f| below the suspect level without a sign change, not at the ends of x
     k = np.flatnonzero(absv[1:-1] < _SUSPECT_LEVEL) + 1
     k = k[(k >= own0) & (k < own1)]
     k = k[
@@ -290,6 +282,97 @@ def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int) ->
         & (absv[k] >= _GRID_ZERO)
     ]
     return x[i], full(i), x[i + 1], full(i + 1), x[hits], values[hits], x[k], values[k]
+
+
+def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int, end: int) -> tuple:
+    """``_reduce`` on the points i0 <= i < min(i0 + _BLOCK, end) of
+    np.linspace(mu_min, mu_max, n + 1), bit for bit.  A one-point halo on each
+    side makes brackets (i, i + 1) and suspects (i - 1, i, i + 1) as on the
+    whole grid."""
+    j0, j1 = max(i0 - 1, 0), min(i0 + _BLOCK + 1, end + 1, n + 1)
+    x = np.arange(j0, j1, dtype=float) * ((mu_max - mu_min) / n) + mu_min
+    if j1 == n + 1:
+        x[-1] = mu_max
+    grid = getattr(f, "grid", None)
+    if grid is None:
+        values = np.asarray(f(x), dtype=float)
+        full = values.__getitem__
+    else:
+        values, full = grid(x)
+    return _reduce(x, values, full, i0 - j0, min(i0 + _BLOCK, end) - j0)
+
+
+def _edge(k, l: float):
+    """The edge mu_k = (pi/4 + k pi)/l, where sin(mu l + pi/4) = (-1)^k."""
+    return (k + 0.25) * (math.pi / l)
+
+
+def _certified(k: int, params: BeamParameters) -> bool:
+    """Whether every half-period (mu_j, mu_{j+1}) with j >= k holds exactly one
+    root of phi, and of phi0.
+
+    phi0(mu) = cos(delta mu) - sqrt 2 sin(l mu + pi/4) with delta = l - 2 l0,
+    and |phi - phi0| = |phi1| <= B (``_phi1_bound``), |phi1'| <= B'
+    (``_phi1_prime_bound``), both decreasing, so their values at mu_k hold on
+    every later half-period.
+    * If B < sqrt 2 - 1, then |phi(mu_j)| >= sqrt 2 - 1 - B > 0 with the sign
+      (-1)^(j+1) of phi0(mu_j): phi changes sign on the half-period.
+    * Wherever |phi0| <= B, which holds at every zero of phi,
+      |sin(l mu + pi/4)| <= (1 + B)/sqrt 2, so
+      |sqrt 2 l cos(l mu + pi/4)| >= l sqrt(2 - (1 + B)^2).  If that exceeds
+      |delta| + B', then phi' = -sqrt 2 l cos(l mu + pi/4) - delta sin(delta mu)
+      + phi1' is nonzero with the sign of -cos(l mu + pi/4), fixed on the
+      half-period.  Every zero there is simple and crosses the same way, so
+      there is exactly one.
+    The same holds for phi0, with phi1 = 0.
+    """
+    l, l0 = params.length, params.attachment_point
+    mu = _edge(k, l)
+    b = _phi1_bound(mu, params)
+    if not b < math.sqrt(2.0) - 1.0:
+        return False
+    return l * math.sqrt(2.0 - (1.0 + b) ** 2) - abs(l - 2.0 * l0) > _phi1_prime_bound(mu, params)
+
+
+def _mu_star(params: BeamParameters, mu_max: float) -> float:
+    """mu*, the least edge mu_k from which ``_certified`` holds, or inf if it does
+    not hold at the last edge below mu_max.  The test is monotone in k, so one
+    scalar test decides windows below mu* and a bisection finds mu* otherwise."""
+    l = params.length
+    top = math.ceil(mu_max * l / math.pi - 0.25) - 1  # the last edge below mu_max
+    if top < 0 or not _certified(top, params):
+        return math.inf
+    lo, hi = -1, top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _certified(mid, params) else (mid, hi)
+    return _edge(hi, l)
+
+
+def _grid_end(mu_min: float, mu_max: float, n: int, mu_star: float) -> int:
+    """Index c of the first point of np.linspace(mu_min, mu_max, n + 1) at or
+    above mu_star, or n + 1 if that is the last point or there is none: the grid
+    owns its points i < c."""
+    if not mu_star < mu_max:
+        return n + 1
+    d = (mu_max - mu_min) / n
+    c = min(max(math.ceil((mu_star - mu_min) / d), 0), n)
+    while c > 0 and (c - 1) * d + mu_min >= mu_star:
+        c -= 1
+    while c < n and c * d + mu_min < mu_star:
+        c += 1
+    return c if c < n else n + 1
+
+
+def _reduce_edges(f: Callable, g: float, mu_max: float, l: float) -> tuple:
+    """``_reduce`` on g, the edges mu_k strictly between g and mu_max, and mu_max,
+    for g >= mu*: each full half-period is a bracket, and so is either partial
+    one exactly when its end values differ in sign."""
+    k = np.arange(math.floor(g * l / math.pi - 0.25), math.ceil(mu_max * l / math.pi - 0.25) + 1)
+    edges = _edge(k, l)
+    x = np.concatenate(([g], edges[(edges > g) & (edges < mu_max)], [mu_max]))
+    values = np.asarray(f(x), dtype=float)
+    return _reduce(x, values, values.__getitem__, 0, x.size)
 
 
 def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, step: float) -> tuple:
@@ -313,8 +396,12 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
         raise ConfigurationError(f"step {step:g} too fine: the grid would exceed {_MAX_POINTS} points")
     f = _target_fn(target, params)
     n = int(math.ceil((mu_max - mu_min) / step))
-    blocks = (_reduce_block(f, mu_min, mu_max, n, i0) for i0 in range(0, n + 1, _BLOCK))
+    end = _grid_end(mu_min, mu_max, n, _mu_star(params, mu_max))
+    blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
     parts = [block for block in blocks if any(part.size for part in block)]
+    if end <= n:
+        g = end * ((mu_max - mu_min) / n) + mu_min
+        parts.append(_reduce_edges(f, g, mu_max, params.length))
     a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = (
         np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])
     )
@@ -346,10 +433,17 @@ def scan_with_suspects(
 ) -> tuple:
     """Scan a window; return (roots, suspects).
 
-    Suspects are grid local minima of |f| below 1e-10 without a sign change --
-    near-tangent configurations that must not be silently promoted to roots.
-    The grid is walked in blocks: memory is O(block + roots).  The window lies
-    in [_MU_MIN, 1.001 * _MU_MAX].
+    The grid is np.linspace(mu_min, mu_max, n + 1) up to its first point at
+    or above mu* (``_mu_star``; all of it if mu* lies above the window), walked
+    in blocks: memory is O(block + roots).  Above that point the brackets are
+    the edges (pi/4 + k pi)/l, each half-period holding exactly one root, and
+    the two partial half-periods at the ends hold one exactly when their end
+    values differ in sign.  Roots below mu* are those of the whole grid, bit
+    for bit.  Suspects are grid local minima of |f| below 1e-10 without a sign
+    change -- near-tangent configurations that must not be silently promoted
+    to roots.  Above mu* there are none, nor exact zeros at grid points: there
+    is no grid there, and |phi'| > 0 wherever |phi0| <= B, so every zero of phi
+    there is a simple crossing.  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
     """
     roots, suspects = _scan(target, params, mu_min, mu_max, step)
     mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)

@@ -30,10 +30,13 @@ own valid range:
 It also keeps the scalar forms of two ``shakerbeam.roots`` routines that the
 package now runs in batches, as exact references for them:
 
-* ``scan_with_suspects_scalar`` (with ``_brent``) -- the grid scan with one
-  scalar Brent refinement per bracket and a per-point suspect loop.  The
-  batched ``scan_with_suspects`` does the same arithmetic per bracket, so the
-  two must return equal ``Root`` tuples and suspects.
+* ``scan_with_suspects_scalar`` (with ``_brent``) -- the scan with one
+  scalar Brent refinement per bracket and a per-point suspect loop.  It takes
+  the package's grid/closed-form split: ``np.linspace`` points up to the
+  first one at or above ``shakerbeam.roots._mu_star``, then the edges
+  (pi/4 + k pi)/l and mu_max.  The batched ``scan_with_suspects`` does the
+  same arithmetic per bracket, so the two must return equal ``Root`` tuples
+  and suspects.
 * ``pair_mutual_nearest_quadratic`` -- mutual-nearest pairing by a linear
   ``min`` search per root, O(n^2).
 
@@ -81,6 +84,7 @@ from shakerbeam.roots import (
     ConfigurationError,
     Root,
     Target,
+    _mu_star,
     _target_fn,
 )
 
@@ -342,6 +346,15 @@ def scan_with_suspects_scalar(
     f = _target_fn(target, params)
     n = int(math.ceil((mu_max - mu_min) / step))
     grid = np.linspace(mu_min, mu_max, n + 1)
+    # past the first grid point at or above mu*, brackets are the edges
+    # (pi/4 + k pi)/l, one root per half-period
+    cut = int(np.searchsorted(grid, _mu_star(params, mu_max)))
+    if cut < n:
+        l = params.length
+        k = np.arange(math.floor(grid[cut] * l / math.pi), math.ceil(mu_max * l / math.pi) + 1)
+        edges = (k + 0.25) * (math.pi / l)
+        edges = edges[(edges > grid[cut]) & (edges < mu_max)]
+        grid = np.concatenate((grid[: cut + 1], edges, [mu_max]))
     values = np.asarray(f(grid), dtype=float)
 
     roots: list = []
@@ -375,9 +388,11 @@ def scan_with_suspects_scalar(
 
     suspects: list = []
     absv = np.abs(values)
+    # not at the grid's last point, where the edge brackets start
     for i in range(1, len(grid) - 1):
         if (
-            absv[i] < _SUSPECT_LEVEL
+            i != cut
+            and absv[i] < _SUSPECT_LEVEL
             and absv[i] <= absv[i - 1]
             and absv[i] <= absv[i + 1]
             and sign[i - 1] * sign[i + 1] > 0.0

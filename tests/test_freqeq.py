@@ -7,6 +7,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from shakerbeam import (
     phi0_prime,
     phi1,
 )
-from shakerbeam.freqeq import _exp_neg, _phi1_bound
+from shakerbeam.freqeq import _exp_neg, _phi1_bound, _phi1_prime_bound
 from shakerbeam.modes import _interface_system
 from conftest import seeded_beams
 from reference import (
@@ -305,3 +306,49 @@ class TestPhi1Bound:
         mu = np.geomspace(1e-6, 1e6, 100_001)
         for beam in self._beams(params, half_params):
             assert np.all(np.diff(_phi1_bound(mu, beam)) <= 0.0)
+
+
+class TestPhi1PrimeBound:
+    """B'(mu) = 12 l e^{-2 mu d} + (4 rho/(m mu)) (l (1 + e^{-2 mu l}) + 1/mu)
+    + (3 kappa rho/(EI m mu^4)) (l (1 + 2 e^{-2 mu d}) + 4/mu) bounds |phi1'|
+    for mu in [1e-6, 1e6]; with B it certifies one root per half-period above
+    mu* (``roots._certified``) on the same beams as B."""
+
+    _beams = staticmethod(TestPhi1Bound._beams)
+
+    def test_bounds_high_precision_derivative(self, params, half_params):
+        for beam in self._beams(params, half_params):
+            # where |cos mu l| = 1 the 4 rho l/(m mu) term is sharp
+            peaks = np.geomspace(1.0, 5e5, 10).round() * math.pi / beam.length
+            for mu in np.concatenate([np.geomspace(1e-6, 1e6, 25), peaks]).tolist():
+                with mpmath.workdps(40):
+                    slope = mpmath.diff(lambda x: phi1_mp(x, beam), mpmath.mpf(mu))
+                assert abs(slope) <= (1.0 + 1e-12) * _phi1_prime_bound(mu, beam)
+
+    def test_bounds_phi1_increments_on_dense_grids(self, params, half_params):
+        # by the mean value theorem and B' decreasing, |phi1(b) - phi1(a)| <= B'(a) (b - a).
+        # Rounding adds a few ulp of the terms of phi1, each at most B, and moves
+        # the arguments mu l, mu (l - 2 l0) by a few ulp, so b - a by ~eps mu
+        grids = [np.geomspace(1e-6, 1e6, 200_001), np.linspace(15.0, 1000.0, 50_001)]
+        top = np.linspace(1e6 - 10.0, 1e6, 100_001)
+        eps = np.finfo(float).eps
+        for beam in self._beams(params, half_params):
+            for mu in grids + [top]:
+                a, b, rise = mu[:-1], mu[1:], np.abs(np.diff(phi1(mu, beam)))
+                allowed = _phi1_prime_bound(a, beam) * (b - a)
+                slack = _phi1_prime_bound(a, beam) * 8.0 * eps * b + 1e-14 * _phi1_bound(a, beam)
+                assert np.all(rise <= allowed + slack)
+            # and it is sharp: a bound 1% lower fails
+            assert np.max(rise / allowed) > 0.99
+
+    def test_decreasing(self, params, half_params):
+        mu = np.geomspace(1e-6, 1e6, 100_001)
+        for beam in self._beams(params, half_params):
+            assert np.all(np.diff(_phi1_prime_bound(mu, beam)) <= 0.0)
+
+    def test_float_and_array_agree(self, params):
+        mu = np.geomspace(1e-6, 1e6, 1001)
+        for bound in (_phi1_bound, _phi1_prime_bound):
+            scalars = [bound(m, params) for m in mu.tolist()]
+            assert all(isinstance(b, float) for b in scalars)
+            assert np.allclose(scalars, bound(mu, params), rtol=1e-15, atol=0.0)

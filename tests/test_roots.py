@@ -33,7 +33,7 @@ from shakerbeam import (
 import shakerbeam.roots
 import reference
 from shakerbeam.freqeq import _phi1, _phi1_bound
-from shakerbeam.roots import _refine_brackets, _scan
+from shakerbeam.roots import _mu_star, _refine_brackets, _scan
 from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, default_step, seeded_beams
 from reference import _brent, pair_mutual_nearest_quadratic, scan_with_suspects_scalar
 
@@ -265,7 +265,9 @@ class TestBlockScan:
         assert suspects == [(25.0, 1e-11), (32.0, 1e-11)]
 
     def test_block_points_equal_linspace(self, params, monkeypatch):
-        # every grid point, the last one included, is the np.linspace point
+        # every grid point, the last one included, is the np.linspace point; the
+        # grid stops at the first point at or above mu*, and one more call takes
+        # that point, the edges (pi/4 + k pi)/l above it and mu_max
         calls = []
 
         def record(x):
@@ -274,12 +276,24 @@ class TestBlockScan:
 
         monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: record)
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 1000)
-        step = default_step(params)
+        step, l = default_step(params), params.length
+        cuts = []
         for lo, hi in [(0.1, 38.5), (0.1, 1000.0), (15.0, 1000.35), (3.3, 7777.7)]:
             calls.clear()
             assert scan_with_suspects(Target.Phi, params, lo, hi, step) == ([], [])
-            points = np.unique(np.concatenate(calls))
-            assert np.array_equal(points, np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1))
+            n = int(math.ceil((hi - lo) / step))
+            grid = np.linspace(lo, hi, n + 1)
+            cut = int(np.searchsorted(grid, _mu_star(params, hi)))
+            cuts.append(cut < n)
+            if cut >= n:
+                assert np.array_equal(np.unique(np.concatenate(calls)), grid)
+                continue
+            *blocks, edges = calls
+            assert np.array_equal(np.unique(np.concatenate(blocks)), grid[: cut + 1])
+            assert edges[0] == grid[cut] and edges[-1] == hi
+            k = np.arange(math.ceil(edges[0] * l / math.pi - 0.25), math.floor(hi * l / math.pi - 0.25) + 1)
+            assert np.array_equal(edges[1:-1], (k + 0.25) * (math.pi / l))
+        assert cuts == [False, True, True, True]
 
     def test_block_exception_reaches_caller(self, params, monkeypatch):
         class Boom(Exception):
@@ -363,17 +377,24 @@ class TestPhiScreen:
             for beam in self._beams(params, half_params)
             for lo, hi in self.WINDOWS
         ]
-        screened = [
-            scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) for beam, lo, hi in cases
-        ]
-        self._unscreened(monkeypatch)
-        for (beam, lo, hi), want in zip(cases, screened):
-            assert scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) == want
+        # above mu* the grid stops, so the high windows screen only on the whole grid
+        for grid_only in (False, True):
+            with monkeypatch.context() as m:
+                if grid_only:
+                    _grid_only(m)
+                screened = [
+                    scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) for beam, lo, hi in cases
+                ]
+                self._unscreened(m)
+                for (beam, lo, hi), want in zip(cases, screened):
+                    assert scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) == want
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     def test_skipped_bracket_ends_on_block_edges(self, params, monkeypatch, block):
         # near mu = 1000 on the default beam B < 0.03, so one or both ends of
-        # most brackets lie outside the screen; small blocks put them on block edges
+        # most brackets lie outside the screen; small blocks put them on block
+        # edges.  The window lies above mu*, so it is gridded only when forced
+        _grid_only(monkeypatch)
         args = (Target.Phi, params, 950.0, 1000.0, default_step(params))
         x = np.linspace(950.0, 1000.0, int(math.ceil(50.0 / args[4])) + 1)
         outside = np.abs(phi0(x, params.length, params.attachment_point)) > _phi1_bound(x, params)
@@ -393,9 +414,95 @@ class TestPhiScreen:
             return _phi1(mu, p, s)
 
         monkeypatch.setattr(shakerbeam.roots, "_phi1", counting_phi1)
+        _grid_only(monkeypatch)  # above mu* ~ 108 the scan has no grid to screen
         step = default_step(params)
         scan_with_suspects(Target.Phi, params, 15.0, 1000.0, step)
         assert 0 < sum(points) < 0.15 * (math.ceil(985.0 / step) + 1)
+
+
+def _grid_only(monkeypatch):
+    """Scan every window on its whole grid, as if mu* lay above it."""
+    monkeypatch.setattr(shakerbeam.roots, "_mu_star", lambda params, mu_max: math.inf)
+
+
+class TestHalfPeriodBrackets:
+    """Above mu* (``roots._mu_star``) every half-period between the edges
+    mu_k = (pi/4 + k pi)/l holds exactly one root of phi and of phi0, and the
+    scan brackets it by the edges instead of a grid."""
+
+    def test_mu_star(self, params, half_params):
+        # the shipped windows lie below mu*, which does not depend on the window
+        assert _mu_star(params, 38.5) == _mu_star(half_params, 32.0) == math.inf
+        assert _mu_star(params, 1000.0) == _mu_star(params, 1e6) == pytest.approx(107.606, abs=1e-3)
+        assert _mu_star(half_params, 1000.0) == pytest.approx(67.937, abs=1e-3)
+        for beam in (params, half_params):
+            k = _mu_star(beam, 1e6) * beam.length / math.pi - 0.25
+            assert k == pytest.approx(round(k), abs=1e-9)
+            assert _mu_star(beam, _mu_star(beam, 1e6)) == math.inf
+
+    def test_one_root_per_half_period(self, params):
+        # phi and phi0 sampled 80 times per half-period, as the grid does,
+        # change sign exactly once in each, from mu* to 1e4 and from 9e4 to 1e5
+        beams = seeded_beams(20261026, 3) + [
+            dataclasses.replace(params, attachment_point=r * params.length) for r in np.linspace(0.05, 0.95, 10)
+        ]
+        for beam in beams:
+            l, l0 = beam.length, beam.attachment_point
+            first = round(_mu_star(beam, 1e5) * l / math.pi - 0.25)
+            for lo, hi in ((first, 1e4 * l / math.pi - 1.25), (9e4 * l / math.pi, 1e5 * l / math.pi - 1.25)):
+                x = (np.arange(math.ceil(lo), math.floor(hi) + 1)[:, None] + 0.25 + np.arange(81) / 80.0) * (
+                    math.pi / l
+                )
+                for values in (phi(x, beam), phi0(x, l, l0)):
+                    sign = np.sign(values)
+                    assert np.all(np.count_nonzero(sign[:, 1:] != sign[:, :-1], axis=1) == 1)
+
+    def test_equals_grid_scan_to_mu_1e5(self, params, half_params, monkeypatch):
+        # the same roots as the whole grid gives: bit for bit below mu*, within
+        # the Brent tolerance above it
+        for beam in (params, half_params):
+            mu_star = _mu_star(beam, 1e5)
+            args = [(target, beam, 0.1, 1e5, default_step(beam)) for target in Target]
+            closed = [_scan(*a) for a in args]
+            with monkeypatch.context() as m:
+                _grid_only(m)
+                grid = [_scan(*a) for a in args]
+            for (roots, suspects), (want, want_suspects) in zip(closed, grid):
+                assert roots[0].size == want[0].size > 60_000
+                assert suspects[0].size == want_suspects[0].size == 0
+                below = want[0] < mu_star
+                assert 0 < np.count_nonzero(below) < 80
+                for column, want_column in zip(roots, want):
+                    assert np.array_equal(column[below], want_column[below])
+                assert np.max(np.abs(roots[0] - want[0])) <= shakerbeam.roots._BRACKET_TOL
+
+    def test_exact_zero_at_window_top(self, half_params, monkeypatch):
+        # midspan phi0 vanishes at 2 pi m / l: with mu_max there, the last
+        # partial half-period has no sign change and mu_max is a grid-zero hit,
+        # as on the whole grid
+        step = default_step(half_params)
+        for m in (23, 100):
+            top = 2.0 * math.pi * m / half_params.length
+            roots, _ = _scan(Target.Phi0, half_params, 0.1, top, step)
+            with monkeypatch.context() as mp:
+                _grid_only(mp)
+                want, _ = _scan(Target.Phi0, half_params, 0.1, top, step)
+            assert roots[0].size == want[0].size == 2 * m
+            assert roots[0][-1] == want[0][-1] == top and roots[5][-1] and want[5][-1]
+
+    def test_large_mass_ratio_runs_only_the_grid(self, params, monkeypatch):
+        # 4 rho/m = 2430 puts mu* near 1.06e4, above this window
+        beam = dataclasses.replace(params, shaker_mass=1e-3)
+        assert _mu_star(beam, 1e4) == math.inf
+        assert 1e4 < _mu_star(beam, 1e6) < 1.1e4
+
+        def no_edges(*args):
+            raise AssertionError("edge brackets below mu*")
+
+        monkeypatch.setattr(shakerbeam.roots, "_reduce_edges", no_edges)
+        assert _scan(Target.Phi, beam, 0.1, 1e4, default_step(beam))[0][0].size > 6000
+        with pytest.raises(AssertionError, match="edge brackets"):
+            _scan(Target.Phi, beam, 0.1, 1.2e4, default_step(beam))
 
 
 class TestWindowLimit:
@@ -419,17 +526,19 @@ class TestWindowLimit:
 
     @pytest.mark.parametrize("beam, count", [("params", 6064), ("half_params", 6366)])
     @pytest.mark.parametrize("target", list(Target))
-    def test_top_of_window_keeps_every_bracket(self, request, beam, count, target):
+    def test_top_of_window_keeps_every_bracket(self, request, monkeypatch, beam, count, target):
         # refined |f| grows toward mu = 1e6 (on the default beam up to 0.54 of
         # the residual bound for Phi, 0.60 for Phi0): every sign change on an
-        # independent grid must still be a root
+        # independent grid must still be a root, on the edge brackets above mu*
+        # and on the whole grid
         beam = request.getfixturevalue(beam)
         lo, hi = 9.9e5, 1e6
         x = np.linspace(lo, hi, 200_001)
         values = phi(x, beam) if target is Target.Phi else phi0(x, beam.length, beam.attachment_point)
         changes = int(np.count_nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0))
         roots = scan_roots(target, beam, lo, hi, default_step(beam))
-        assert len(roots) == changes == count
+        _grid_only(monkeypatch)
+        assert len(roots) == len(scan_roots(target, beam, lo, hi, default_step(beam))) == changes == count
 
     def test_scan_above_limit_fails_before_allocating(self, params):
         tracemalloc.start()
