@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BeamParameters, ValidationError, to_spectral_point, validate_parameters
+from .core import BeamParameters, ValidationError, validate_parameters
 from .modes import DegenerateModeError, evaluate_mode, normalize_L2, solve_mode
 from .roots import (
     ConfigurationError,
@@ -56,6 +56,7 @@ _DEFAULT_RAW_PARAMS = {
 
 _PARAM_KEYS = set(_DEFAULT_RAW_PARAMS) | {"rho"}
 _MAX_MODE_SAMPLES = 10**6  # points per mode CSV; more would only exhaust memory
+_BLOCK = 4096  # CSV rows formatted and written at a time
 
 # key -> (type, subcommand flag or None, help).  A config file may set every
 # key; l0 is a beam parameter, so a file gives it with a unit, as above.  The
@@ -188,14 +189,14 @@ def _svg(title: str, xlabel: str, ylabel: str, series) -> str:
             f'font-size="11">{ty:.4g}</text>'
         )
     for kind, xs, ys, label, color in series:
+        xy = px(xs).tolist(), py(ys).tolist()
         if kind == "line":
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            pts = " ".join(map("{:.2f},{:.2f}".format, *xy))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
         else:
-            for x, y in zip(xs, ys):
-                parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
+            parts.extend(map(f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="3" fill="{color}"/>'.format, *xy))
     for i, (_, _, _, label, color) in enumerate(series):
         ly = m + 16 + 16 * i
         parts.append(
@@ -206,17 +207,27 @@ def _svg(title: str, xlabel: str, ylabel: str, series) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_text(out_dir, name: str, text: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+def _write_text(out_dir, name: str, chunks) -> None:
+    """Write an iterable of text chunks to out_dir/name; the caller makes out_dir."""
     with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else (v if isinstance(v, str) else fmt9(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header, *columns):
+    """CSV text in chunks of _BLOCK rows, each formatted by one %-format.  A
+    float cell is written as %.9g, the same text as fmt9; None is an empty cell
+    and a str is written as it is.  Numpy array columns hold numbers only."""
+    yield ",".join(header) + "\n"
+    for i in range(0, len(columns[0]), _BLOCK):
+        part = [column[i : i + _BLOCK] for column in columns]
+        if all(isinstance(column, np.ndarray) for column in part):
+            line = ",".join(["%.9g"] * len(part)) + "\n"
+            yield (line * len(part[0])) % tuple(np.column_stack(part).ravel().tolist())
+        else:
+            cells = [v for row in zip(*part) for v in row]
+            specs = ["" if v is None else "%s" if isinstance(v, str) else "%.9g" for v in cells]
+            text = ("%s" + ",%s" * (len(part) - 1) + "\n") * (len(cells) // len(part)) % tuple(specs)
+            yield text % tuple([v for v in cells if v is not None])
 
 
 def _resolve_window(config: RunConfig):
@@ -255,24 +266,16 @@ def cmd_roots(config: RunConfig) -> int:
     if not exact and not truncated:
         print("no roots found in the requested window", file=sys.stderr)
         return EXIT_NO_ROOTS
-    rows = []
-    j = 0
-    for mu_e, mu_t, status in pair_mutual_nearest(
-        [r.mu for r in exact], [r.mu for r in truncated]
-    ):
-        nu_e = to_spectral_point(mu_e, config.params).nu if mu_e is not None else None
-        nu_t = to_spectral_point(mu_t, config.params).nu if mu_t is not None else None
-        gap = abs(mu_e - mu_t) if (mu_e is not None and mu_t is not None) else None
-        if mu_e is not None:
-            j += 1
-            rows.append((str(j), mu_t, mu_e, nu_t, nu_e, status, gap))
-        else:
-            rows.append(("", mu_t, None, nu_t, None, status, None))
-    _write_text(
-        config.out,
-        "roots.csv",
-        _csv(rows, ("j", "mu_bar", "mu", "nu_bar_hz", "nu_hz", "pairing_status", "abs_gap")),
-    )
+    rows = pair_mutual_nearest([r.mu for r in exact], [r.mu for r in truncated])
+    mu_e, mu_t, status = zip(*rows)  # exact-bearing rows first
+    j = [str(k) for k in range(1, len(exact) + 1)] + [""] * (len(rows) - len(exact))
+    # to_spectral_point's nu = omega / (2 pi), omega = omega_factor * mu**2, on Python floats
+    f = config.params.omega_factor
+    nu_e, nu_t = ([None if mu is None else f * mu**2 / (2.0 * math.pi) for mu in c] for c in (mu_e, mu_t))
+    gap = [None if e is None or t is None else abs(e - t) for e, t in zip(mu_e, mu_t)]
+    header = ("j", "mu_bar", "mu", "nu_bar_hz", "nu_hz", "pairing_status", "abs_gap")
+    os.makedirs(config.out, exist_ok=True)
+    _write_text(config.out, "roots.csv", _csv(header, j, mu_t, mu_e, nu_t, nu_e, status, gap))
     if not config.quiet:
         print(f"wrote {config.out}/roots.csv: {len(exact)} exact, {len(truncated)} truncated roots")
     return EXIT_OK
@@ -309,7 +312,8 @@ def cmd_verify(config: RunConfig) -> int:
         "stray_exact_roots": [_round9(s) for s in report.stray_roots],
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)  # never NaN/Infinity
-    _write_text(config.out, "localization.json", text + "\n")
+    os.makedirs(config.out, exist_ok=True)
+    _write_text(config.out, "localization.json", [text + "\n"])
     if report.warning and not config.quiet:
         print(f"warning: {report.warning}", file=sys.stderr)
     if not config.quiet:
@@ -332,12 +336,13 @@ def cmd_modes(config: RunConfig, *indices: int) -> int:
     series = []
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     xs = np.linspace(0.0, config.params.length, config.mode_samples)
+    os.makedirs(config.out, exist_ok=True)
     for k, j in enumerate(indices):
         mode = normalize_L2(solve_mode(exact[j - 1], config.params))
         u = evaluate_mode(mode, xs)
-        _write_text(config.out, f"mode_{j}.csv", _csv(zip(xs, u), ("x", "u")))
+        _write_text(config.out, f"mode_{j}.csv", _csv(("x", "u"), xs, u))
         series.append(("line", xs, u, f"mode {j} (mu={mode.mu:.4f})", colors[k % len(colors)]))
-    _write_text(config.out, "modes.svg", _svg("Normalized eigenmodes", "x [m]", "u(x)", series))
+    _write_text(config.out, "modes.svg", [_svg("Normalized eigenmodes", "x [m]", "u(x)", series)])
     if not config.quiet:
         print(f"wrote {config.out}/modes.svg and {len(indices)} mode CSVs")
     return EXIT_OK
@@ -348,25 +353,22 @@ def cmd_growth(config: RunConfig) -> int:
     if not exact and not truncated:
         print("no roots found in the requested window", file=sys.stderr)
         return EXIT_NO_ROOTS
-    n = max(len(exact), len(truncated))
-    rows = []
-    for i in range(n):
-        mu_e = exact[i].mu if i < len(exact) else None
-        mu_t = truncated[i].mu if i < len(truncated) else None
-        rows.append((str(i + 1), mu_e, mu_t))
-    _write_text(config.out, "growth.csv", _csv(rows, ("j", "mu", "mu_bar")))
+    mu_e, mu_t = [r.mu for r in exact], [r.mu for r in truncated]
+    n = max(len(mu_e), len(mu_t))
+    j = [str(i) for i in range(1, n + 1)]
+    os.makedirs(config.out, exist_ok=True)
+    columns = j, mu_e + [None] * (n - len(mu_e)), mu_t + [None] * (n - len(mu_t))
+    _write_text(config.out, "growth.csv", _csv(("j", "mu", "mu_bar"), *columns))
     series = []
     if exact:
-        series.append(("points", range(1, len(exact) + 1), [r.mu for r in exact], "exact", "#1f77b4"))
+        series.append(("points", range(1, len(mu_e) + 1), mu_e, "exact", "#1f77b4"))
     if truncated:
-        series.append(
-            ("points", range(1, len(truncated) + 1), [r.mu for r in truncated], "truncated", "#d62728")
-        )
+        series.append(("points", range(1, len(mu_t) + 1), mu_t, "truncated", "#d62728"))
     l, l0 = config.params.length, config.params.attachment_point
     if truncated and abs(l - 2.0 * l0) <= 1e-12 * l:
         closed = closed_form_roots_half(l, len(truncated))
         series.append(("line", range(1, len(closed) + 1), closed, "closed form (midspan)", "#2ca02c"))
-    _write_text(config.out, "growth.svg", _svg("Spectral parameter growth", "j", "mu [1/m]", series))
+    _write_text(config.out, "growth.svg", [_svg("Spectral parameter growth", "j", "mu [1/m]", series)])
     if not config.quiet:
         print(f"wrote {config.out}/growth.csv and growth.svg ({n} indices)")
     return EXIT_OK

@@ -10,14 +10,13 @@ evaluated only where a phi0 screen cannot show that it leaves the scan
 unchanged.  ``verify_localization`` checks the
 asymptotic pairing structure: above a threshold, every truncated root has
 exactly one exact root in its epsilon-neighborhood and the complement holds
-none.  It and ``pair_mutual_nearest`` search the sorted roots by bisection.
+none.  It and ``pair_mutual_nearest`` search the sorted roots with ``np.searchsorted``.
 ``closed_form_roots_half`` generates the explicit root sequence available when
 the attachment sits at midspan.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -605,17 +604,19 @@ def verify_localization(
     )
 
 
-def _nearest(x: float, pool: list):
-    """The first value of an ascending list at the least distance from x."""
-    j = bisect.bisect_left(pool, x)
-    if j == len(pool) or (j > 0 and abs(pool[j - 1] - x) <= abs(pool[j] - x)):
-        j -= 1
-        if j < 0:
-            return None
-        # rounding can give several values the same distance: take the first
-        while j > 0 and abs(pool[j - 1] - x) == abs(pool[j] - x):
-            j -= 1
-    return pool[j]
+def _nearest_index(x: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Index of the first value of an ascending array at the least distance
+    from each x; a value equally near two others takes the lower one."""
+    k = np.searchsorted(pool, x)
+    right = np.abs(pool[np.minimum(k, pool.size - 1)] - x)
+    lower = np.flatnonzero((k == pool.size) | ((k > 0) & (np.abs(pool[k - 1] - x) <= right)))
+    k[lower] -= 1
+    # rounding can give several values the same distance: take the first
+    while lower.size:
+        i = k[lower]
+        lower = lower[(i > 0) & (np.abs(pool[i - 1] - x[lower]) == np.abs(pool[i] - x[lower]))]
+        k[lower] -= 1
+    return k
 
 
 def pair_mutual_nearest(exact: list, truncated: list) -> list:
@@ -625,16 +626,12 @@ def pair_mutual_nearest(exact: list, truncated: list) -> list:
     exact-bearing rows first in mu order, then leftover truncated roots.
     A root equally near two others pairs with the lower one.
     """
-    rows = []
-    used_truncated = set()
-    for m in exact:
-        t = _nearest(m, truncated)
-        if t is not None and _nearest(t, exact) == m:
-            rows.append((m, t, "paired"))
-            used_truncated.add(t)
-        else:
-            rows.append((m, None, "exact_only"))
-    for t in truncated:
-        if t not in used_truncated:
-            rows.append((None, t, "truncated_only"))
-    return rows
+    e, t = np.asarray(exact, dtype=float), np.asarray(truncated, dtype=float)
+    if not t.size:
+        return [(m, None, "exact_only") for m in e.tolist()]
+    mate = t[_nearest_index(e, t)]
+    paired = e[_nearest_index(mate, e)] == e
+    rows = zip(e.tolist(), mate.tolist(), paired.tolist())
+    rows = [(m, u, "paired") if p else (m, None, "exact_only") for m, u, p in rows]
+    used = set(mate[paired].tolist())
+    return rows + [(None, u, "truncated_only") for u in t.tolist() if u not in used]

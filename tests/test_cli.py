@@ -2,8 +2,13 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import pathlib
+import random
+import re
 import tracemalloc
 import warnings
 
@@ -487,3 +492,117 @@ class TestExitCodes:
     def test_progress_message_by_default(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "roots"]) == 0
         assert "roots.csv" in capsys.readouterr().out
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+# sha256 and exit code of every artifact of both shipped configs, recorded with
+# the value-by-value writer that the column writer replaced; "_1e5" runs add
+# --mu-max 1e5, so their CSVs span many chunks
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_artifacts.json").read_text())
+GOLDEN_ARGS = {
+    "roots": ["roots"],
+    "verify10": ["verify", "--threshold", "10"],
+    "verify15": ["verify", "--threshold", "15"],
+    "modes": ["modes", *map(str, range(1, 21))],
+    "growth": ["growth"],
+    "roots_1e5": ["roots", "--mu-max", "1e5"],
+    "growth_1e5": ["growth", "--mu-max", "1e5"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN))
+def test_artifacts_are_byte_identical_to_recorded_digests(run, tmp_path):
+    config, tag = run.split("/")
+    argv = ["--config", str(CONFIG_DIR / f"{config}.cfg"), "--out", str(tmp_path), "--quiet"]
+    assert main(argv + GOLDEN_ARGS[tag]) == GOLDEN[run]["exit"]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GOLDEN[run]["sha256"]
+
+
+def csv_value_by_value(header, rows) -> str:
+    """The writer the column writer replaced: every cell on its own, through fmt9."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("" if v is None else (v if isinstance(v, str) else cli.fmt9(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def seeded_floats(n, seed):
+    """Finite doubles of every exponent and both signs: subnormals, +-0.0,
+    the largest double (1.8e308 as a literal is inf) and integral values."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(bits), bits, rng.uniform(-1.0, 1.0, n))
+    top, tiny = 1.7976931348623157e308, 2.2250738585072014e-308
+    special = [5e-324, -5e-324, 0.0, -0.0, top, -top, tiny, -tiny, 1.0, -3.0, 1e16, 2.0**53]
+    values[: len(special)] = special
+    integral = values[len(special) :: 5]
+    integral[:] = rng.integers(-(2**53), 2**53, integral.size) >> rng.integers(0, 53, integral.size)
+    return values
+
+
+class TestArtifactWriter:
+    def test_float_columns_match_fmt9(self):
+        x, u = seeded_floats(3 * cli._BLOCK + 17, 1), seeded_floats(3 * cli._BLOCK + 17, 2)
+        text = "".join(cli._csv(("x", "u"), x, u))
+        assert text == csv_value_by_value(("x", "u"), zip(x, u))
+
+    def test_none_and_str_cells_match_the_old_rules(self):
+        # the shapes of roots.csv rows: paired, exact-only and truncated-only
+        rng = random.Random(12)
+        v = seeded_floats(3000, 3).tolist()
+        rows = []
+        for k in range(0, len(v) - 5, 5):
+            shape = rng.choice(("paired", "exact_only", "truncated_only"))
+            if shape == "paired":
+                rows.append((str(k), v[k], v[k + 1], v[k + 2], v[k + 3], shape, v[k + 4]))
+            elif shape == "exact_only":
+                rows.append((str(k), None, v[k + 1], None, v[k + 3], shape, None))
+            else:
+                rows.append(("", v[k], None, v[k + 2], None, shape, None))
+        rows.append(("100%s", None, None, None, None, "%.9g,%", None))  # % in a str is no format
+        header = ("j", "mu_bar", "mu", "nu_bar_hz", "nu_hz", "pairing_status", "abs_gap")
+        text = "".join(cli._csv(header, *map(list, zip(*rows))))
+        assert text == csv_value_by_value(header, rows)
+
+    @pytest.mark.parametrize("arrays", [True, False])
+    def test_chunks_join_to_the_text_written_in_one_piece(self, arrays, monkeypatch):
+        x, u = seeded_floats(1000, 4), seeded_floats(1000, 5)
+        columns = (x, u) if arrays else (x.tolist(), [None if k % 3 else str(k) for k in range(1000)])
+        monkeypatch.setattr(cli, "_BLOCK", 10**6)
+        whole = list(cli._csv(("x", "u"), *columns))
+        monkeypatch.setattr(cli, "_BLOCK", 97)
+        chunked = list(cli._csv(("x", "u"), *columns))
+        assert len(whole) == 2 and len(chunked) == 1 + math.ceil(1000 / 97)
+        assert "".join(chunked) == "".join(whole)
+
+    def test_svg_coordinates_match_per_point_fstrings(self):
+        rng = np.random.default_rng(6)
+        xs = np.sort(rng.uniform(-3.0, 1e4, 500))
+        ys = rng.normal(0.0, 1e3, 500)
+        xp, yp = np.arange(1.0, 41.0), rng.uniform(1.0, 200.0, 40)
+        svg = cli._svg("t", "x", "y", [("line", xs, ys, "a", "#000"), ("points", xp, yp, "b", "#111")])
+        # the scale of cli._svg, applied one numpy scalar at a time as before
+        m, w, h = 60, 720, 480
+        x0, x1 = float(min(xs.min(), xp.min())), float(max(xs.max(), xp.max()))
+        y0, y1 = float(min(ys.min(), yp.min())), float(max(ys.max(), yp.max()))
+        pad_x, pad_y = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
+        x0, x1, y0, y1 = x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
+
+        def px(x):
+            return m + (x - x0) / (x1 - x0) * (w - 2 * m)
+
+        def py(y):
+            return h - m - (y - y0) / (y1 - y0) * (h - 2 * m)
+
+        line = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == line
+        circles = [f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#111"/>' for x, y in zip(xp, yp)]
+        assert [s for s in svg.split("\n") if s.startswith("<circle")] == circles
+
+    def test_output_directory_made_once_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        makedirs = os.makedirs
+        monkeypatch.setattr(cli.os, "makedirs", lambda *a, **k: calls.append(a) or makedirs(*a, **k))
+        assert main(["--out", str(tmp_path / "new"), "--quiet", "modes", *map(str, range(1, 21))]) == 0
+        assert len(calls) == 1 and len(list((tmp_path / "new").iterdir())) == 21

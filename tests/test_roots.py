@@ -834,3 +834,16 @@ class TestPairMutualNearest:
             assert pair_mutual_nearest(exact, truncated) == pair_mutual_nearest_quadratic(
                 exact, truncated
             )
+
+    def test_long_tie_runs_match_quadratic_reference(self):
+        # runs of repeated values and of values at one rounded distance make
+        # the first-value walk take many steps on some lanes and none on others
+        rng = random.Random(20261019)
+        for _ in range(200):
+            pool = [float(rng.randint(0, 6)) for _ in range(5)] + [1e16, 1e16 + 2.0, 2e16]
+            exact = sorted(rng.choice(pool) for _ in range(rng.randint(0, 80)))
+            shifts = [0.0, 0.5, 1.0]
+            truncated = sorted(rng.choice(pool) + rng.choice(shifts) for _ in range(rng.randint(0, 80)))
+            rows = pair_mutual_nearest(exact, truncated)
+            assert rows == pair_mutual_nearest_quadratic(exact, truncated)
+            assert all(type(v) is float for row in rows for v in row[:2] if v is not None)
