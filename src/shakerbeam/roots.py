@@ -7,7 +7,9 @@ themselves are the brackets.  It refines all brackets of a scan together with
 a lockstep safeguarded Brent iteration: each round evaluates the function
 once, on an array of the brackets still open.  On a phi grid, phi1 is
 evaluated only where a phi0 screen cannot show that it leaves the scan
-unchanged.  ``verify_localization`` checks the
+unchanged.  Full half-periods refined by the last scan of a function above
+mu* are kept in a table and taken from it, not refined again, when the next
+scan of the same beam brackets them identically.  ``verify_localization`` checks the
 asymptotic pairing structure: above a threshold, every truncated root has
 exactly one exact root in its epsilon-neighborhood and the complement holds
 none.  It and ``pair_mutual_nearest`` search the sorted roots with ``np.searchsorted``.
@@ -17,11 +19,14 @@ the attachment sits at midspan.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,12 +74,12 @@ class Target(enum.Enum):
     Phi0 = "phi0"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A refined zero of a characteristic function.
 
     degenerate marks grid points where |f| < 1e-13 without a usable sign
-    change (the bracket collapses to the point itself).
+    change (the bracket collapses to the point itself).  A tuple: equal to
+    any tuple of the same fields.
     """
 
     mu: float
@@ -92,8 +97,7 @@ class PairingStatus(enum.Enum):
     UnpairedExactRoot = "unpaired_exact_root"
 
 
-@dataclass(frozen=True)
-class RootPairing:
+class RootPairing(NamedTuple):
     truncated_root: float
     exact_root: Optional[float]
     distance: Optional[float]
@@ -162,10 +166,25 @@ class _Phi:
         return values, full
 
 
+class _Phi0:
+    """phi0 of one beam."""
+
+    def __init__(self, params: BeamParameters):
+        self.params = params
+
+    def __call__(self, mu):
+        return phi0(mu, self.params.length, self.params.attachment_point)
+
+
 def _target_fn(target: Target, params: BeamParameters) -> Callable:
-    if target is Target.Phi:
-        return _Phi(params)
-    return lambda mu: phi0(mu, params.length, params.attachment_point)
+    return _Phi(params) if target is Target.Phi else _Phi0(params)
+
+
+# function class -> None, or (params, keys, columns) of the full half-periods
+# that its last scan above mu* refined: keys[i] = (a, fa, b, fb), ascending in
+# a, and columns the five ``_refine_brackets`` arrays.  An entry is replaced
+# whole, so a concurrent scan reads either the old table or the new one.
+_HALF_PERIODS: dict = {_Phi: None, _Phi0: None}
 
 
 def _min(x, y):
@@ -260,6 +279,60 @@ def _refine_brackets(f: Callable, a, fa, b, fb):
     return best_x, best_f, iterations, lo, hi
 
 
+def _refine(f: Callable, a, fa, b, fb) -> tuple:
+    """``_refine_brackets`` on the brackets of a scan above mu*, taking from
+    the table the full half-periods (mu_k, mu_{k+1}) that the last scan of
+    f's class refined.
+
+    The brackets ascend: grid brackets, then at most one partial half-period,
+    the full ones and at most one more partial one, so the full half-periods
+    are one run a[s:t].  A lane is taken only when f is a ``_Phi`` or
+    ``_Phi0`` of the table's beam and a, fa, b and fb are bitwise those of a
+    stored half-period.  A lane's refinement depends on nothing else, so the
+    results are those of a cold scan, bit for bit.  The run then replaces the
+    table, unless it is empty or longer than _BLOCK; then the table is emptied.
+    """
+    kind = type(f)
+    if kind not in _HALF_PERIODS:
+        return _refine_brackets(f, a, fa, b, fb)
+    l = f.params.length
+
+    def full(i: int) -> bool:
+        k = round(float(a[i]) * l / math.pi - 0.25)
+        return _edge(k, l) == a[i] and _edge(k + 1, l) == b[i]
+
+    t = a.size - (a.size > 0 and not full(a.size - 1))
+    s = bisect.bisect_left(range(t), True, key=full)
+    hit = j = np.empty(0, dtype=int)
+    table = _HALF_PERIODS[kind]
+    if table is not None and table[0] == f.params:
+        _, stored, cached = table
+        # only the run's brackets within the stored edges can match, at most _BLOCK
+        i0 = s + int(np.searchsorted(a[s:t], stored[0, 0]))
+        i1 = s + int(np.searchsorted(a[s:t], stored[-1, 0], side="right"))
+        keys = np.stack((a[i0:i1], fa[i0:i1], b[i0:i1], fb[i0:i1]), axis=1)
+        j = np.minimum(np.searchsorted(stored[:, 0], keys[:, 0]), stored.shape[0] - 1)
+        same = np.all(stored[j].view(np.int64) == keys.view(np.int64), axis=1)
+        hit, j = i0 + np.flatnonzero(same), j[same]
+    if hit.size:
+        lane = np.ones(a.size, dtype=bool)
+        lane[hit] = False
+        refined = _refine_brackets(f, a[lane], fa[lane], b[lane], fb[lane])
+        columns = []
+        for column, stored_column in zip(refined, cached):
+            out = np.empty(a.size, dtype=column.dtype)
+            out[lane], out[hit] = column, stored_column[j]
+            columns.append(out)
+    else:
+        columns = _refine_brackets(f, a, fa, b, fb)
+    entry = None
+    if 0 < t - s <= _BLOCK:
+        keys = np.stack((a[s:t], fa[s:t], b[s:t], fb[s:t]), axis=1)
+        entry = (f.params, keys, tuple(column[s:t].copy() for column in columns))
+    _HALF_PERIODS[kind] = entry
+    return tuple(columns)
+
+
 def _reduce(x, values, full, own0: int, own1: int) -> tuple:
     """Reduce ascending points x with their values to arrays (a, fa, b, fb) of
     sign-changing brackets (x[i], x[i + 1]), (x, fx) of exact zeros and (x, fx) of
@@ -333,10 +406,12 @@ def _certified(k: int, params: BeamParameters) -> bool:
     return l * math.sqrt(2.0 - (1.0 + b) ** 2) - abs(l - 2.0 * l0) > _phi1_prime_bound(mu, params)
 
 
+@functools.lru_cache(maxsize=16)
 def _mu_star(params: BeamParameters, mu_max: float) -> float:
     """mu*, the least edge mu_k from which ``_certified`` holds, or inf if it does
     not hold at the last edge below mu_max.  The test is monotone in k, so one
-    scalar test decides windows below mu* and a bisection finds mu* otherwise."""
+    scalar test decides windows below mu* and a bisection finds mu* otherwise.
+    Cached: a caller scans the same beam and window once per target."""
     l = params.length
     top = math.ceil(mu_max * l / math.pi - 0.25) - 1  # the last edge below mu_max
     if top < 0 or not _certified(top, params):
@@ -404,7 +479,7 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
     a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = (
         np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])
     )
-    x, fx, iterations, lo, hi = _refine_brackets(f, a, fa, b, fb)
+    x, fx, iterations, lo, hi = (_refine if end <= n else _refine_brackets)(f, a, fa, b, fb)
     # refinements that miss the residual contract are not roots
     met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
     # grid points that are numerically exact zeros are degenerate brackets (x, x)
@@ -443,12 +518,18 @@ def scan_with_suspects(
     to roots.  Above mu* there are none, nor exact zeros at grid points: there
     is no grid there, and |phi'| > 0 wherever |phi0| <= B, so every zero of phi
     there is a simple crossing.  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
+
+    Each full half-period's refinement depends only on the beam, the target
+    and its edges, so a scan above mu* keeps its full half-periods (at most
+    _BLOCK) in a per-target table, and the next scan of the same beam takes
+    those it brackets identically from there (``_refine``); the roots are
+    bit for bit those of a cold scan.  Grid brackets and the two partial
+    half-periods are always refined.  Roots are ``Root`` tuples.
     """
     roots, suspects = _scan(target, params, mu_min, mu_max, step)
     mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)
-    fields = zip(mu, residual, zip(lo, hi), iterations)
-    roots = [Root(*root, target, hit) for root, hit in zip(fields, degenerate)]
-    return roots, list(zip(*(column.tolist() for column in suspects)))
+    rows = zip(mu, residual, zip(lo, hi), iterations, itertools.repeat(target), degenerate)
+    return list(map(Root._make, rows)), list(zip(*(column.tolist() for column in suspects)))
 
 
 def scan_roots(
@@ -501,6 +582,12 @@ def verify_localization(
     root in its epsilon-neighborhood, and the complement must contain none.
     The report's min_abs_phi0_complement is sampled on 4,001 points, an upper
     bound on the true minimum (see ``LocalizationReport``).
+
+    It scans Phi0 over (threshold_M, mu_max] and Phi to mu_max + epsilon
+    itself.  Above mu* those scans take the full half-periods that the
+    caller's last scan of the same beam and target refined from the table
+    (see ``scan_with_suspects``); grid brackets below mu* are refined again.
+    The pairings are ``RootPairing`` tuples.
     """
     if epsilon <= 0.0:
         raise LocalizationPreconditionError(f"epsilon must be positive, got {epsilon}")
@@ -552,30 +639,19 @@ def verify_localization(
     starts = np.searchsorted(owner[owned], np.arange(anchors.size)).tolist()
     inside_all = exact[owned].tolist()
     pairings = []
+    unique = PairingStatus.PairedUnique  # looked up once: it costs as much as a row
     for anchor, start, count in zip(anchors.tolist(), starts, counts):
-        inside = inside_all[start : start + count]
-        if len(inside) == 1:
-            status = PairingStatus.PairedUnique
-            partner, dist = inside[0], abs(inside[0] - anchor)
-        elif not inside:
-            status, partner, dist = PairingStatus.NoExactRootInNeighborhood, None, None
+        if count == 1:
+            partner = inside_all[start]
+            pairings.append((anchor, partner, abs(partner - anchor), epsilon, unique))
+        elif not count:
+            pairings.append((anchor, None, None, epsilon, PairingStatus.NoExactRootInNeighborhood))
         else:
+            partner = min(inside_all[start : start + count], key=lambda m: abs(m - anchor))
             status = PairingStatus.MultipleExactRoots
-            partner = min(inside, key=lambda m: abs(m - anchor))
-            dist = abs(partner - anchor)
-        pairings.append(
-            RootPairing(
-                truncated_root=anchor,
-                exact_root=partner,
-                distance=dist,
-                epsilon=epsilon,
-                status=status,
-            )
-        )
+            pairings.append((anchor, partner, abs(partner - anchor), epsilon, status))
     strays = tuple(exact[~owned & (exact <= mu_max)].tolist())
-    verdict = bool(
-        all(p.status is PairingStatus.PairedUnique for p in pairings) and not strays
-    )
+    verdict = all(count == 1 for count in counts) and not strays
 
     # empirical margins: min |phi0| over the complement, min |phi0'| near anchors
     sample = np.linspace(lo, mu_max, 4001)
@@ -594,7 +670,7 @@ def verify_localization(
     return LocalizationReport(
         threshold_M=threshold_M,
         epsilon=epsilon,
-        pairings=tuple(pairings),
+        pairings=tuple(map(RootPairing._make, pairings)),
         stray_roots=strays,
         verdict=verdict,
         warning=None,

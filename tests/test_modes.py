@@ -105,9 +105,12 @@ class TestSolveMode:
         assert all(math.isfinite(v) for v in fields)
         assert math.isfinite(mode.nullspace_ratio)
 
-    def test_rejects_truncated_target_root(self, params, truncated_roots):
+    def test_rejects_truncated_target_root(self, params, exact_roots, truncated_roots):
         with pytest.raises(ValidationError, match="exact"):
             solve_mode(truncated_roots[0], params)
+        # the target field decides, not the mu: an exact root relabelled Phi0
+        with pytest.raises(ValidationError, match="exact"):
+            solve_mode(exact_roots[0]._replace(target=Target.Phi0), params)
 
     def test_degenerate_off_root(self, params):
         fake = Root(mu=2.07, residual=0.0, bracket=(2.06, 2.08), iterations=0, target=Target.Phi)

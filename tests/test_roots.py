@@ -20,6 +20,8 @@ from shakerbeam import (
     ConfigurationError,
     LocalizationPreconditionError,
     PairingStatus,
+    Root,
+    RootPairing,
     Target,
     closed_form_roots_half,
     detect_rational_ratio,
@@ -34,7 +36,7 @@ import shakerbeam.roots
 import reference
 from shakerbeam.freqeq import _phi1, _phi1_bound
 from shakerbeam.roots import _mu_star, _refine_brackets, _scan
-from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, default_step, seeded_beams
+from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, clear_half_period_table, default_step, seeded_beams
 from reference import _brent, pair_mutual_nearest_quadratic, scan_with_suspects_scalar
 
 
@@ -505,6 +507,157 @@ class TestHalfPeriodBrackets:
             _scan(Target.Phi, beam, 0.1, 1.2e4, default_step(beam))
 
 
+    def test_mu_star_cached(self, params, monkeypatch):
+        calls = []
+        certified = shakerbeam.roots._certified
+
+        def counting(k, beam):
+            calls.append(k)
+            return certified(k, beam)
+
+        monkeypatch.setattr(shakerbeam.roots, "_certified", counting)
+        first = _mu_star(params, 1000.0)
+        assert calls
+        calls.clear()
+        assert _mu_star(params, 1000.0) == first
+        assert not calls
+
+
+def _scan_bits(scan) -> list:
+    """The bytes and dtype of every column of a ``_scan`` result, suspects included."""
+    roots, suspects = scan
+    return [(column.dtype, column.tobytes()) for column in (*roots, *suspects)]
+
+
+def _spy_refinement(monkeypatch) -> list:
+    """Record the brackets (a, b) of every ``_refine_brackets`` call."""
+    calls = []
+    refine = shakerbeam.roots._refine_brackets
+
+    def spy(f, a, fa, b, fb):
+        calls.append((a, b))
+        return refine(f, a, fa, b, fb)
+
+    monkeypatch.setattr(shakerbeam.roots, "_refine_brackets", spy)
+    return calls
+
+
+def _lanes(calls) -> list:
+    return [a.size for a, _ in calls]
+
+
+def _cold_scan(*args):
+    clear_half_period_table()
+    return _scan(*args)
+
+
+class TestHalfPeriodTable:
+    """A scan above mu* takes from the table the full half-periods that the
+    last scan of the same beam and target refined; the roots stay bit for bit
+    those of a cold scan."""
+
+    # a wide op: the caller's two scans, then verify's Phi0 and Phi scans
+    WIDE_OP = [
+        (Target.Phi, 0.1, 1000.0),
+        (Target.Phi0, 0.1, 1000.0),
+        (Target.Phi0, 15.0, 1000.0),
+        (Target.Phi, 15.0, 1000.35),
+    ]
+
+    @staticmethod
+    def _beams(params):
+        ratios = (0.05, 0.3, 0.5, 0.77, 0.95)
+        return [dataclasses.replace(params, attachment_point=r * params.length) for r in ratios]
+
+    def test_warm_scans_equal_cold(self, params, monkeypatch):
+        calls = _spy_refinement(monkeypatch)
+        for beam in self._beams(params):
+            step = default_step(beam)
+            calls.clear()
+            cold = [_scan_bits(_cold_scan(target, beam, lo, hi, step)) for target, lo, hi in self.WIDE_OP]
+            cold_lanes = _lanes(calls)
+            calls.clear()
+            clear_half_period_table()
+            warm = [_scan_bits(_scan(target, beam, lo, hi, step)) for target, lo, hi in self.WIDE_OP]
+            assert warm == cold
+            # verify's scans took most of their brackets from the table
+            lanes = _lanes(calls)
+            assert lanes[:2] == cold_lanes[:2] and sum(lanes[2:]) < sum(cold_lanes[2:]) / 2
+
+    def test_verify_refines_no_full_half_period(self, params, monkeypatch):
+        calls = _spy_refinement(monkeypatch)
+        for beam in self._beams(params):
+            l, step = beam.length, default_step(beam)
+            for target in Target:
+                _scan(target, beam, 0.1, 1000.0, step)
+            calls.clear()
+            verify_localization(beam, 0.35, 15.0, 1000.0, step)
+            assert len(calls) == 2
+            for a, b in calls:
+                k = np.round(a * l / math.pi - 0.25)
+                full = ((k + 0.25) * (math.pi / l) == a) & ((k + 1.25) * (math.pi / l) == b)
+                assert not full.any()
+                # the lanes left are the grid brackets below mu* and the partial half-periods
+                assert np.count_nonzero(a < _mu_star(beam, 1000.0)) >= a.size - 2
+
+    def test_other_beam_or_function_takes_no_lane(self, params, monkeypatch):
+        step = default_step(params)
+        l0 = math.nextafter(params.attachment_point, math.inf)
+        nudged = dataclasses.replace(params, attachment_point=l0)
+        calls = _spy_refinement(monkeypatch)
+        cold = _scan_bits(_cold_scan(Target.Phi, nudged, 15.0, 1000.0, step))
+        cold_lanes = _lanes(calls)
+        assert cold_lanes[0] > 500
+        _scan(Target.Phi, params, 0.1, 1000.0, step)
+        calls.clear()
+        assert _scan_bits(_scan(Target.Phi, nudged, 15.0, 1000.0, step)) == cold
+        assert _lanes(calls) == cold_lanes
+        # a function that is not the package's own phi or phi0, here one that
+        # evaluates phi without the grid screen, is always refined in full
+        target_fn = shakerbeam.roots._target_fn
+        def unscreened(target, p):
+            f = target_fn(target, p)
+            return lambda x: f(x)
+
+        monkeypatch.setattr(shakerbeam.roots, "_target_fn", unscreened)
+        for beam in (params, params, nudged):
+            calls.clear()
+            _scan(Target.Phi, beam, 15.0, 1000.0, step)
+            assert _lanes(calls) == cold_lanes
+
+    def test_table_bounded_by_block(self, params):
+        step = default_step(params)
+        tables = shakerbeam.roots._HALF_PERIODS
+        _scan(Target.Phi0, params, 0.1, 1e4, step)
+        stored = tables[shakerbeam.roots._Phi0][1]
+        assert 5900 < stored.shape[0] <= shakerbeam.roots._BLOCK
+        assert np.all(np.diff(stored[:, 0]) > 0.0)
+        _scan(Target.Phi0, params, 0.1, 1.5e4, step)  # about 9,000 half-periods
+        assert tables[shakerbeam.roots._Phi0] is None
+        _scan(Target.Phi0, params, 0.1, 1000.0, step)
+        _scan(Target.Phi0, params, 500.0, 501.0, step)  # no full half-period
+        assert tables[shakerbeam.roots._Phi0] is None
+
+    def test_concurrent_beams_get_cold_results(self, params):
+        beams = self._beams(params)
+        step = default_step(params)
+        windows = [(0.1, 1000.0), (15.0, 1000.35)]
+        jobs = [(target, beam, lo, hi) for beam in beams for target in Target for lo, hi in windows]
+        cold = {job: _scan_bits(_cold_scan(*job[:2], *job[2:], step)) for job in jobs}
+
+        def run(job):
+            return _scan_bits(_scan(*job[:2], *job[2:], step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as callers:
+                results = list(callers.map(run, jobs * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [cold[job] for job in jobs * 3]
+
+
 class TestWindowLimit:
     """Windows start at mu_min >= 1e-6 and end at mu_max <= 1e6; a scan may
     reach 0.1% past the end."""
@@ -592,6 +745,40 @@ class TestWindowLimit:
         assert count == 60638
         scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
         assert maxrss * scale < 100e6
+
+
+class TestRows:
+    """``Root`` and ``RootPairing`` are named tuples: fields by name and
+    position, keyword construction, and no assignment."""
+
+    def test_root(self, exact_roots):
+        assert Root._fields == ("mu", "residual", "bracket", "iterations", "target", "degenerate")
+        assert Root._field_defaults == {"degenerate": False}
+        root = Root(mu=2.5, residual=1e-12, bracket=(2.4, 2.6), iterations=7, target=Target.Phi)
+        assert root == (2.5, 1e-12, (2.4, 2.6), 7, Target.Phi, False)
+        assert (root.mu, root.bracket, root.degenerate) == (2.5, (2.4, 2.6), False)
+        with pytest.raises(AttributeError):
+            root.mu = 3.0
+        first = exact_roots[0]
+        assert type(first) is Root and first == Root(*first)
+        assert all(type(v) is t for v, t in zip(first, (float, float, tuple, int, Target, bool)))
+
+    def test_root_pairing(self, params):
+        assert RootPairing._fields == ("truncated_root", "exact_root", "distance", "epsilon", "status")
+        assert RootPairing._field_defaults == {}
+        row = RootPairing(
+            truncated_root=16.0,
+            exact_root=None,
+            distance=None,
+            epsilon=0.35,
+            status=PairingStatus.NoExactRootInNeighborhood,
+        )
+        assert row == (16.0, None, None, 0.35, PairingStatus.NoExactRootInNeighborhood)
+        with pytest.raises(AttributeError):
+            row.status = PairingStatus.PairedUnique
+        report = verify_localization(params, 0.35, 15.0, 38.5)
+        assert report.pairings and all(type(p) is RootPairing for p in report.pairings)
+        assert all(p.status is PairingStatus.PairedUnique and p.distance < 0.35 for p in report.pairings)
 
 
 class TestClosedFormHalf:
