@@ -12,6 +12,7 @@ in the window, 4 localization precondition violated, 5 degenerate mode,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from .roots import (
     ConfigurationError,
     LocalizationPreconditionError,
     Target,
+    _scan_jobs,
     closed_form_roots_half,
     pair_mutual_nearest,
     scan_roots,
@@ -256,9 +258,13 @@ def _resolve_window(config: RunConfig):
 
 
 def _scan_pair(config: RunConfig):
-    """Return (exact_roots, truncated_roots) over the resolved window."""
+    """The mu lists (exact, truncated) over the resolved window, both refined in one batch without n_roots."""
+    if config.n_roots is None:
+        jobs = [(target, config.mu_min, config.mu_max) for target in (Target.Phi, Target.Phi0)]
+        return [roots[0].tolist() for roots, _ in _scan_jobs(config.params, config.scan_step, jobs)]
     lo, hi, exact = _resolve_window(config)
-    return exact, scan_roots(Target.Phi0, config.params, lo, hi, config.scan_step)
+    truncated = scan_roots(Target.Phi0, config.params, lo, hi, config.scan_step)
+    return [r.mu for r in exact], [r.mu for r in truncated]
 
 
 def cmd_roots(config: RunConfig) -> int:
@@ -266,7 +272,7 @@ def cmd_roots(config: RunConfig) -> int:
     if not exact and not truncated:
         print("no roots found in the requested window", file=sys.stderr)
         return EXIT_NO_ROOTS
-    rows = pair_mutual_nearest([r.mu for r in exact], [r.mu for r in truncated])
+    rows = pair_mutual_nearest(exact, truncated)
     mu_e, mu_t, status = zip(*rows)  # exact-bearing rows first
     j = [str(k) for k in range(1, len(exact) + 1)] + [""] * (len(rows) - len(exact))
     # to_spectral_point's nu = omega / (2 pi), omega = omega_factor * mu**2, on Python floats
@@ -311,14 +317,15 @@ def cmd_verify(config: RunConfig) -> int:
         ],
         "stray_exact_roots": [_round9(s) for s in report.stray_roots],
     }
+    del report  # its rows are in the payload: free them before the JSON text is built
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)  # never NaN/Infinity
     os.makedirs(config.out, exist_ok=True)
     _write_text(config.out, "localization.json", [text + "\n"])
-    if report.warning and not config.quiet:
-        print(f"warning: {report.warning}", file=sys.stderr)
+    if payload["warning"] and not config.quiet:
+        print(f"warning: {payload['warning']}", file=sys.stderr)
     if not config.quiet:
-        print(f"wrote {config.out}/localization.json: verdict {report.verdict}")
-    return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
+        print(f"wrote {config.out}/localization.json: verdict {payload['verdict']}")
+    return EXIT_OK if payload["verdict"] else EXIT_VERDICT_FALSE
 
 
 def cmd_modes(config: RunConfig, *indices: int) -> int:
@@ -349,24 +356,23 @@ def cmd_modes(config: RunConfig, *indices: int) -> int:
 
 
 def cmd_growth(config: RunConfig) -> int:
-    exact, truncated = _scan_pair(config)
-    if not exact and not truncated:
+    mu_e, mu_t = _scan_pair(config)
+    if not mu_e and not mu_t:
         print("no roots found in the requested window", file=sys.stderr)
         return EXIT_NO_ROOTS
-    mu_e, mu_t = [r.mu for r in exact], [r.mu for r in truncated]
     n = max(len(mu_e), len(mu_t))
     j = [str(i) for i in range(1, n + 1)]
     os.makedirs(config.out, exist_ok=True)
     columns = j, mu_e + [None] * (n - len(mu_e)), mu_t + [None] * (n - len(mu_t))
     _write_text(config.out, "growth.csv", _csv(("j", "mu", "mu_bar"), *columns))
     series = []
-    if exact:
+    if mu_e:
         series.append(("points", range(1, len(mu_e) + 1), mu_e, "exact", "#1f77b4"))
-    if truncated:
+    if mu_t:
         series.append(("points", range(1, len(mu_t) + 1), mu_t, "truncated", "#d62728"))
     l, l0 = config.params.length, config.params.attachment_point
-    if truncated and abs(l - 2.0 * l0) <= 1e-12 * l:
-        closed = closed_form_roots_half(l, len(truncated))
+    if mu_t and abs(l - 2.0 * l0) <= 1e-12 * l:
+        closed = closed_form_roots_half(l, len(mu_t))
         series.append(("line", range(1, len(closed) + 1), closed, "closed form (midspan)", "#2ca02c"))
     _write_text(config.out, "growth.svg", [_svg("Spectral parameter growth", "j", "mu [1/m]", series)])
     if not config.quiet:
@@ -382,6 +388,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     # the global flags, accepted before and after the command name; SUPPRESS
     # keeps a pre-command value from being clobbered by the subparser default

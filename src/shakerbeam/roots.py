@@ -3,9 +3,9 @@
 ``scan_roots`` brackets sign changes of phi or phi0 on a uniform grid up to
 mu*, the edge (pi/4 + k pi)/l from which every half-period between two such
 edges provably holds exactly one root (``_certified``); above mu* the edges
-themselves are the brackets.  It refines all brackets of a scan together with
-a lockstep safeguarded Brent iteration: each round evaluates the function
-once, on an array of the brackets still open.  On a phi grid, phi1 is
+themselves are the brackets.  It refines the brackets of a scan, or of a pair
+of scans, in one lockstep safeguarded Brent batch, _BLOCK at a time: each
+round evaluates once, on an array of the brackets still open.  On a phi grid, phi1 is
 evaluated only where a phi0 screen cannot show that it leaves the scan
 unchanged.  Full half-periods refined by the last scan of a function above
 mu* are kept in a table and taken from it, not refined again, when the next
@@ -197,12 +197,13 @@ def _max(x, y):
     return np.where(y > x, y, x)
 
 
-def _refine_brackets(f: Callable, a, fa, b, fb):
+def _refine_brackets(f: Callable, a, fa, b, fb, lanes=None):
     """Safeguarded Brent on every bracket [a_i, b_i] at once, in lockstep.
 
     Each lane takes bisection fallback, inverse-quadratic or secant steps until
     its bracket is below _BRACKET_TOL (at most 200 steps), then up to three
-    secant polish steps; each round calls f once on the lanes still active.
+    secant polish steps; each round calls f once on the lanes still active,
+    as f(x), or as f(x, lanes[active]) when lanes tags them (``_lanes_fn``).
     Lanes never mix, and each does exactly the scalar Brent arithmetic (kept
     as the test reference), so the results do not depend on the batch.
 
@@ -246,7 +247,7 @@ def _refine_brackets(f: Callable, a, fa, b, fb):
             a, fa = b, fb
             b = np.where(active, b + np.where(np.abs(d) > tol, d, np.copysign(tol, m)), b)
             fb = fb.copy()  # fa shares the old array
-            fb[active] = f(b[active])
+            fb[active] = f(b[active]) if lanes is None else f(b[active], lanes[active])
             better = active & (np.abs(fb) < np.abs(best_f))
             best_x, best_f = np.where(better, b, best_x), np.where(better, fb, best_f)
             flip = active & ((fb > 0.0) == (fc > 0.0))
@@ -263,7 +264,7 @@ def _refine_brackets(f: Callable, a, fa, b, fb):
             if not active.any():
                 break
             fx = np.zeros(a.shape)
-            fx[active] = f(x[active])
+            fx[active] = f(x[active]) if lanes is None else f(x[active], lanes[active])
             iterations += active
             better = active & (np.abs(fx) < np.abs(best_f))
             best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
@@ -279,22 +280,14 @@ def _refine_brackets(f: Callable, a, fa, b, fb):
     return best_x, best_f, iterations, lo, hi
 
 
-def _refine(f: Callable, a, fa, b, fb) -> tuple:
-    """``_refine_brackets`` on the brackets of a scan above mu*, taking from
-    the table the full half-periods (mu_k, mu_{k+1}) that the last scan of
-    f's class refined.
-
-    The brackets ascend: grid brackets, then at most one partial half-period,
-    the full ones and at most one more partial one, so the full half-periods
-    are one run a[s:t].  A lane is taken only when f is a ``_Phi`` or
-    ``_Phi0`` of the table's beam and a, fa, b and fb are bitwise those of a
-    stored half-period.  A lane's refinement depends on nothing else, so the
-    results are those of a cold scan, bit for bit.  The run then replaces the
-    table, unless it is empty or longer than _BLOCK; then the table is emptied.
-    """
-    kind = type(f)
-    if kind not in _HALF_PERIODS:
-        return _refine_brackets(f, a, fa, b, fb)
+def _lookup(f: Callable, a, fa, b, fb) -> tuple:
+    """(run, lane, stored) for the ascending brackets of a scan of f above mu*:
+    the slice run of its full half-periods (mu_k, mu_{k+1}), the lanes left to
+    refine (slice(None) without a table), and the columns that the table of
+    f's class holds for the others.  The full half-periods follow the grid
+    brackets and at most one partial one, so they are one run a[s:t].  A lane
+    is taken only when the table holds f's beam and a, fa, b and fb bitwise;
+    its refinement depends on nothing else, so it is a cold one, bit for bit."""
     l = f.params.length
 
     def full(i: int) -> bool:
@@ -303,34 +296,35 @@ def _refine(f: Callable, a, fa, b, fb) -> tuple:
 
     t = a.size - (a.size > 0 and not full(a.size - 1))
     s = bisect.bisect_left(range(t), True, key=full)
-    hit = j = np.empty(0, dtype=int)
-    table = _HALF_PERIODS[kind]
-    if table is not None and table[0] == f.params:
-        _, stored, cached = table
-        # only the run's brackets within the stored edges can match, at most _BLOCK
-        i0 = s + int(np.searchsorted(a[s:t], stored[0, 0]))
-        i1 = s + int(np.searchsorted(a[s:t], stored[-1, 0], side="right"))
-        keys = np.stack((a[i0:i1], fa[i0:i1], b[i0:i1], fb[i0:i1]), axis=1)
-        j = np.minimum(np.searchsorted(stored[:, 0], keys[:, 0]), stored.shape[0] - 1)
-        same = np.all(stored[j].view(np.int64) == keys.view(np.int64), axis=1)
-        hit, j = i0 + np.flatnonzero(same), j[same]
-    if hit.size:
-        lane = np.ones(a.size, dtype=bool)
-        lane[hit] = False
-        refined = _refine_brackets(f, a[lane], fa[lane], b[lane], fb[lane])
-        columns = []
-        for column, stored_column in zip(refined, cached):
-            out = np.empty(a.size, dtype=column.dtype)
-            out[lane], out[hit] = column, stored_column[j]
-            columns.append(out)
-    else:
-        columns = _refine_brackets(f, a, fa, b, fb)
-    entry = None
-    if 0 < t - s <= _BLOCK:
-        keys = np.stack((a[s:t], fa[s:t], b[s:t], fb[s:t]), axis=1)
-        entry = (f.params, keys, tuple(column[s:t].copy() for column in columns))
-    _HALF_PERIODS[kind] = entry
-    return tuple(columns)
+    table = _HALF_PERIODS[type(f)]
+    if table is None or table[0] != f.params:
+        return slice(s, t), slice(None), ()
+    _, stored, cached = table
+    # only the run's brackets within the stored edges can match, at most _BLOCK
+    i0 = s + int(np.searchsorted(a[s:t], stored[0, 0]))
+    i1 = s + int(np.searchsorted(a[s:t], stored[-1, 0], side="right"))
+    keys = np.stack((a[i0:i1], fa[i0:i1], b[i0:i1], fb[i0:i1]), axis=1)
+    j = np.minimum(np.searchsorted(stored[:, 0], keys[:, 0]), stored.shape[0] - 1)
+    same = np.all(stored[j].view(np.int64) == keys.view(np.int64), axis=1)
+    lane = np.ones(a.size, dtype=bool)
+    lane[i0:i1] = ~same
+    return slice(s, t), lane, tuple(column[j[same]] for column in cached)
+
+
+def _lanes_fn(fns: list) -> Callable:
+    """f(x, job) for a batch whose lane i refines fns[job[i]], each a ``_Phi``
+    or ``_Phi0`` of one beam: s = sin(mu l) and phi0 on every lane, plus phi1
+    on the phi lanes only, bit for bit as ``phi`` and ``phi0`` give them."""
+    p = fns[0].params
+    exact = np.array([type(fn) is _Phi for fn in fns])
+
+    def pair(x, job):
+        s = np.sin(x * p.length)
+        out, on = _phi0(x, p.length, p.attachment_point, s), exact[job]
+        out[on] += _phi1(x[on], p, s[on])
+        return out
+
+    return pair
 
 
 def _reduce(x, values, full, own0: int, own1: int) -> tuple:
@@ -449,9 +443,9 @@ def _reduce_edges(f: Callable, g: float, mu_max: float, l: float) -> tuple:
     return _reduce(x, values, values.__getitem__, 0, x.size)
 
 
-def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, step: float) -> tuple:
-    """``scan_with_suspects`` as arrays: ((mu, residual, lo, hi, iterations,
-    degenerate) of the roots in ascending mu, (x, fx) of the suspects)."""
+def _check_window(params: BeamParameters, mu_min: float, mu_max: float, step: float, top="mu_max") -> None:
+    """Raise ``ConfigurationError`` for an invalid scan window or step; top is
+    the name the window-limit message gives mu_max."""
     if not (_MU_MIN <= mu_min < mu_max):
         raise ConfigurationError(f"window needs {_MU_MIN:g} <= mu_min < mu_max, got ({mu_min}, {mu_max})")
     if step <= 0.0:
@@ -465,37 +459,72 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
             " to resolve the sin(mu l) oscillation"
         )
     if mu_max > 1.001 * _MU_MAX:
-        raise ConfigurationError(f"mu_max = {mu_max} is above the window limit {_MU_MAX:g}")
+        raise ConfigurationError(f"{top} = {mu_max} is above the window limit {_MU_MAX:g}")
     if (mu_max - mu_min) / step >= _MAX_POINTS:
         raise ConfigurationError(f"step {step:g} too fine: the grid would exceed {_MAX_POINTS} points")
-    f = _target_fn(target, params)
-    n = int(math.ceil((mu_max - mu_min) / step))
-    end = _grid_end(mu_min, mu_max, n, _mu_star(params, mu_max))
-    blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
-    parts = [block for block in blocks if any(part.size for part in block)]
-    if end <= n:
-        g = end * ((mu_max - mu_min) / n) + mu_min
-        parts.append(_reduce_edges(f, g, mu_max, params.length))
-    a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = (
-        np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])
-    )
-    x, fx, iterations, lo, hi = (_refine if end <= n else _refine_brackets)(f, a, fa, b, fb)
-    # refinements that miss the residual contract are not roots
-    met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
-    # grid points that are numerically exact zeros are degenerate brackets (x, x)
-    columns = [
-        np.concatenate(pair)
-        for pair in (
-            (hit_x, x[met]),
-            (hit_f, fx[met]),
-            (hit_x, lo[met]),
-            (hit_x, hi[met]),
-            (np.zeros(hit_x.size, dtype=int), iterations[met]),
-            (np.ones(hit_x.size, dtype=bool), np.zeros(np.count_nonzero(met), dtype=bool)),
-        )
-    ]
-    order = np.argsort(columns[0], kind="stable")
-    return tuple(column[order] for column in columns), (sus_x, sus_f)
+
+
+def _scan_jobs(params: BeamParameters, step: float, jobs) -> list:
+    """``_scan`` of each (target, mu_min, mu_max) job on one beam and step: each
+    job's brackets and table hits (``_lookup``) are those of its own scan, and
+    one Brent batch refines the lanes left of every job, _BLOCK at a time.
+    Lanes never mix, so the columns are bit for bit those of separate scans."""
+    fns = [_target_fn(target, params) for target, _, _ in jobs]
+    found, looked = [], []
+    for f, (_, mu_min, mu_max) in zip(fns, jobs):
+        _check_window(params, mu_min, mu_max, step)
+        n = int(math.ceil((mu_max - mu_min) / step))
+        end = _grid_end(mu_min, mu_max, n, _mu_star(params, mu_max))
+        blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
+        parts = [block for block in blocks if any(part.size for part in block)]
+        if end <= n:
+            g = end * ((mu_max - mu_min) / n) + mu_min
+            parts.append(_reduce_edges(f, g, mu_max, params.length))
+        found.append([np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])])
+        above = end <= n and type(f) in _HALF_PERIODS
+        looked.append(_lookup(f, *found[-1][:4]) if above else (None, slice(None), ()))
+    pending = [[column[lane] for column in c[:4]] for c, (_, lane, _) in zip(found, looked)]
+    counts = [a.size for a, *_ in pending]
+    batch = [np.concatenate(column) if len(column) > 1 else column[0] for column in zip(*pending)]
+    f, job = (fns[0], None) if len(fns) == 1 else (_lanes_fn(fns), np.repeat(np.arange(len(fns)), counts))
+    solved = None
+    for i in range(0, batch[0].size or 1, _BLOCK):
+        tags = None if job is None else job[i : i + _BLOCK]
+        part = _refine_brackets(f, *(column[i : i + _BLOCK] for column in batch), tags)
+        solved = solved or [np.empty(batch[0].size, dtype=column.dtype) for column in part]
+        for out, column in zip(solved, part):
+            out[i : i + _BLOCK] = column
+    del pending, batch, job, tags, part  # before the result columns are built; tags views job
+    split = zip(*(np.split(column, np.cumsum(counts)[:-1]) for column in solved))
+    results = []
+    for f, columns, (run, lane, stored), refined in zip(fns, found, looked, split):
+        a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = columns
+        if stored:  # the lanes taken from the table go back in their places
+            left, refined = refined, [np.empty(a.size, dtype=column.dtype) for column in refined]
+            for out, column, stored_column in zip(refined, left, stored):
+                out[lane], out[~lane] = column, stored_column
+        if run is not None:  # the run replaces the table, or empties it if longer than _BLOCK
+            entry = None
+            if 0 < run.stop - run.start <= _BLOCK:
+                keys = np.stack((a[run], fa[run], b[run], fb[run]), axis=1)
+                entry = (params, keys, tuple(column[run].copy() for column in refined))
+            _HALF_PERIODS[type(f)] = entry
+        x, fx, iterations, lo, hi = refined
+        # refinements that miss the residual contract are not roots
+        met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
+        # grid points that are numerically exact zeros are degenerate brackets (x, x)
+        hits = (hit_x, hit_f, hit_x, hit_x, np.zeros(hit_x.size, dtype=int), np.ones(hit_x.size, dtype=bool))
+        tails = (x, fx, lo, hi, iterations, np.zeros(x.size, dtype=bool))
+        columns = [np.concatenate((hit, column[met])) for hit, column in zip(hits, tails)]
+        order = np.argsort(columns[0], kind="stable")
+        results.append((tuple(column[order] for column in columns), (sus_x, sus_f)))
+    return results
+
+
+def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, step: float) -> tuple:
+    """``scan_with_suspects`` as arrays: ((mu, residual, lo, hi, iterations,
+    degenerate) of the roots in ascending mu, (x, fx) of the suspects)."""
+    return _scan_jobs(params, step, [(target, mu_min, mu_max)])[0]
 
 
 def scan_with_suspects(
@@ -522,7 +551,7 @@ def scan_with_suspects(
     Each full half-period's refinement depends only on the beam, the target
     and its edges, so a scan above mu* keeps its full half-periods (at most
     _BLOCK) in a per-target table, and the next scan of the same beam takes
-    those it brackets identically from there (``_refine``); the roots are
+    those it brackets identically from there (``_lookup``); the roots are
     bit for bit those of a cold scan.  Grid brackets and the two partial
     half-periods are always refined.  Roots are ``Root`` tuples.
     """
@@ -584,10 +613,11 @@ def verify_localization(
     bound on the true minimum (see ``LocalizationReport``).
 
     It scans Phi0 over (threshold_M, mu_max] and Phi to mu_max + epsilon
-    itself.  Above mu* those scans take the full half-periods that the
-    caller's last scan of the same beam and target refined from the table
-    (see ``scan_with_suspects``); grid brackets below mu* are refined again.
-    The pairings are ``RootPairing`` tuples.
+    itself, in one Brent batch (``_scan_jobs``); above mu* those scans take
+    the full half-periods that the caller's last scans of the beam refined
+    from the table (see ``scan_with_suspects``).  A violated epsilon
+    precondition wins over an invalid exact window.  The pairings are
+    ``RootPairing`` tuples.
     """
     if epsilon <= 0.0:
         raise LocalizationPreconditionError(f"epsilon must be positive, got {epsilon}")
@@ -614,8 +644,13 @@ def verify_localization(
     if step is None:
         step = math.pi / (80.0 * params.length)
     lo = max(threshold_M, _MU_MIN)
-    anchors = _scan(Target.Phi0, params, lo, mu_max, step)[0][0]
-    anchors = anchors[anchors > threshold_M]
+    jobs, late = [(Target.Phi0, lo, mu_max), (Target.Phi, lo, mu_max + epsilon)], None
+    try:  # an exact window that fails raises after the precondition, as on its own scan
+        _check_window(params, lo, mu_max + epsilon, step, "mu_max + epsilon")
+    except ConfigurationError as exc:
+        jobs, late = jobs[:1], exc
+    found = [roots[0] for roots, _ in _scan_jobs(params, step, jobs)]  # the mu columns
+    anchors = found[0][found[0] > threshold_M]
     gaps = np.diff(anchors)
     if gaps.size and epsilon >= 0.5 * gaps.min():
         i = int(np.argmin(gaps))
@@ -624,8 +659,9 @@ def verify_localization(
             f" {gaps[i]:.6g} (between {anchors[i]:.6g} and {anchors[i + 1]:.6g}):"
             " neighborhoods would overlap"
         )
-    exact = _scan(Target.Phi, params, lo, mu_max + epsilon, step)[0][0]
-    exact = exact[exact > threshold_M]
+    if late is not None:
+        raise late
+    exact = found[1][found[1] > threshold_M]
 
     # anchors are more than 2 epsilon apart, so an exact root lies in at most
     # one neighborhood, that of one of its two neighbouring anchors

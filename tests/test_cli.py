@@ -318,6 +318,48 @@ class TestVerifyCommand:
         assert report["verdict"] is True and report["pairings"]
         assert main(argv + ["--mu-max", "1000001"]) == 1
 
+    def test_exact_window_past_limit_exits_after_precondition(self, tmp_path, capfd):
+        # the exact roots are scanned to mu_max + epsilon = 1002000, past the
+        # limit: exit 1 naming that sum, unless the precondition fails first
+        argv = ["--out", str(tmp_path), "--quiet", "verify", "--mu-max", "1e6", "--epsilon", "2000"]
+        assert main(argv + ["--threshold", "999999.5"]) == 1  # one anchor: no gap to violate
+        err = capfd.readouterr().err
+        assert "mu_max + epsilon = 1002000.0 is above the window limit" in err and "Traceback" not in err
+        assert main(argv + ["--threshold", "999000"]) == 4
+        assert "localization precondition" in capfd.readouterr().err
+        assert not (tmp_path / "localization.json").exists()
+
+
+class TestParserReuse:
+    """main builds its argparse parser once per process, and no call leaves
+    state behind for the next."""
+
+    def test_parser_built_once(self, tmp_path):
+        cli._build_parser.cache_clear()
+        for argv in (["roots"], ["verify", "--threshold", "15"], ["modes", "1"], ["growth"]):
+            assert main(["--out", str(tmp_path), "--quiet", *argv]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        def run(name, *argv):
+            out = tmp_path / name
+            return main(["--out", str(out), "--quiet", *argv]), out
+
+        code, out = run("m56", "modes", "5", "6")
+        assert code == 0 and sorted(p.name for p in out.glob("mode_*.csv")) == ["mode_5.csv", "mode_6.csv"]
+        code, out = run("m", "modes")
+        assert code == 0 and sorted(p.name for p in out.glob("mode_*.csv")) == [f"mode_{j}.csv" for j in range(1, 5)]
+        assert run("v15", "verify", "--threshold", "15")[0] == 0
+        code, out = run("v", "verify")  # the config's threshold, 10: verdict false
+        assert code == 6 and json.loads((out / "localization.json").read_text())["threshold_M"] == 10.0
+        assert run("bad", "roots", "--mu-max")[0] == 1
+        assert run("good", "roots")[0] == 0
+        for argv in (["--help"], ["verify", "--help"]):
+            assert main(argv) == 0
+        assert "usage: shakerbeam verify" in capsys.readouterr().out
+        assert run("after", "growth")[0] == 0
+
 
 class TestWindowLimit:
     @pytest.mark.parametrize(
@@ -497,7 +539,8 @@ class TestExitCodes:
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 # sha256 and exit code of every artifact of both shipped configs, recorded with
 # the value-by-value writer that the column writer replaced; "_1e5" runs add
-# --mu-max 1e5, so their CSVs span many chunks
+# --mu-max 1e5, so their CSVs span many chunks; "verify15_1e4" reaches far
+# above mu*, where the half-period table and the fused Phi/Phi0 batch act
 GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_artifacts.json").read_text())
 GOLDEN_ARGS = {
     "roots": ["roots"],
@@ -507,6 +550,7 @@ GOLDEN_ARGS = {
     "growth": ["growth"],
     "roots_1e5": ["roots", "--mu-max", "1e5"],
     "growth_1e5": ["growth", "--mu-max", "1e5"],
+    "verify15_1e4": ["verify", "--mu-max", "1e4", "--threshold", "15"],
 }
 
 

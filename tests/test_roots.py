@@ -32,6 +32,7 @@ from shakerbeam import (
     scan_with_suspects,
     verify_localization,
 )
+import shakerbeam.cli
 import shakerbeam.roots
 import reference
 from shakerbeam.freqeq import _phi1, _phi1_bound
@@ -530,20 +531,20 @@ def _scan_bits(scan) -> list:
 
 
 def _spy_refinement(monkeypatch) -> list:
-    """Record the brackets (a, b) of every ``_refine_brackets`` call."""
+    """Record the brackets (a, b) and the lane tags of every ``_refine_brackets`` call."""
     calls = []
     refine = shakerbeam.roots._refine_brackets
 
-    def spy(f, a, fa, b, fb):
-        calls.append((a, b))
-        return refine(f, a, fa, b, fb)
+    def spy(f, a, fa, b, fb, lanes=None):
+        calls.append((a, b, lanes))
+        return refine(f, a, fa, b, fb, lanes)
 
     monkeypatch.setattr(shakerbeam.roots, "_refine_brackets", spy)
     return calls
 
 
 def _lanes(calls) -> list:
-    return [a.size for a, _ in calls]
+    return [a.size for a, _, _ in calls]
 
 
 def _cold_scan(*args):
@@ -592,13 +593,16 @@ class TestHalfPeriodTable:
                 _scan(target, beam, 0.1, 1000.0, step)
             calls.clear()
             verify_localization(beam, 0.35, 15.0, 1000.0, step)
-            assert len(calls) == 2
-            for a, b in calls:
-                k = np.round(a * l / math.pi - 0.25)
-                full = ((k + 0.25) * (math.pi / l) == a) & ((k + 1.25) * (math.pi / l) == b)
+            # one batch refines both scans: Phi0's lanes (tag 0), then Phi's (tag 1)
+            [(a, b, job)] = calls
+            assert np.all(np.diff(job) >= 0) and set(job.tolist()) == {0, 1}
+            for target in (0, 1):
+                a_t, b_t = a[job == target], b[job == target]
+                k = np.round(a_t * l / math.pi - 0.25)
+                full = ((k + 0.25) * (math.pi / l) == a_t) & ((k + 1.25) * (math.pi / l) == b_t)
                 assert not full.any()
                 # the lanes left are the grid brackets below mu* and the partial half-periods
-                assert np.count_nonzero(a < _mu_star(beam, 1000.0)) >= a.size - 2
+                assert np.count_nonzero(a_t < _mu_star(beam, 1000.0)) >= a_t.size - 2
 
     def test_other_beam_or_function_takes_no_lane(self, params, monkeypatch):
         step = default_step(params)
@@ -656,6 +660,73 @@ class TestHalfPeriodTable:
         finally:
             sys.setswitchinterval(interval)
         assert results == [cold[job] for job in jobs * 3]
+
+
+class TestFusedPair:
+    """``verify_localization`` and the CLI's ``roots`` and ``growth`` refine
+    their Phi and Phi0 scans in one Brent batch; each scan stays bit for bit
+    the one it gives alone."""
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        """Record (beam, step, jobs, bits of each job's scan) of every ``_scan_jobs`` call."""
+        calls = []
+        scan_jobs = shakerbeam.roots._scan_jobs
+
+        def recording(beam, step, jobs):
+            found = scan_jobs(beam, step, jobs)
+            calls.append((beam, step, jobs, [_scan_bits(scan) for scan in found]))
+            return found
+
+        monkeypatch.setattr(shakerbeam.roots, "_scan_jobs", recording)
+        monkeypatch.setattr(shakerbeam.cli, "_scan_jobs", recording)
+        return calls
+
+    def test_pairs_equal_single_scans(self, params, half_params, monkeypatch):
+        # shipped windows below mu*, and windows to mu = 1000 whose verify
+        # pair runs cold and warm: after the caller's pair filled the tables
+        shipped = {id(params): (38.5, 0.35), id(half_params): (32.0, 0.3)}
+        beams = [params, half_params] + TestHalfPeriodTable._beams(params)
+        calls = self._record(monkeypatch)
+        for beam in beams:
+            step = default_step(beam)
+            config = dataclasses.replace(shakerbeam.cli.load_config(), params=beam, step=step)
+            for mu_max, epsilon in [shipped.get(id(beam), (38.5, 0.35)), (1000.0, 0.35)]:
+                clear_half_period_table()
+                verify_localization(beam, epsilon, 15.0, mu_max, step)  # cold
+                shakerbeam.cli._scan_pair(dataclasses.replace(config, mu_max=mu_max))
+                verify_localization(beam, epsilon, 10.0, mu_max, step)  # warm above mu*
+        monkeypatch.undo()
+        assert [len(jobs) for _, _, jobs, _ in calls] == [2] * 6 * len(beams)
+        for beam, step, jobs, bits in calls:
+            assert {target for target, _, _ in jobs} == set(Target)
+            for (target, lo, hi), want in zip(jobs, bits):
+                assert _scan_bits(_cold_scan(target, beam, lo, hi, step)) == want
+
+    def test_split_batch_equals_one_batch(self, params, monkeypatch):
+        # about 12,000 lanes to mu = 1e4: split at _BLOCK lanes, at 100 lanes
+        # (which also makes 100-point grid blocks), and in one batch
+        step = default_step(params)
+        jobs = [(Target.Phi0, 15.0, 1e4), (Target.Phi, 15.0, 1e4 + 0.35)]
+        calls = _spy_refinement(monkeypatch)
+        want = [_scan_bits(scan) for scan in shakerbeam.roots._scan_jobs(params, step, jobs)]
+        lanes = sum(_lanes(calls))
+        assert _lanes(calls) == [shakerbeam.roots._BLOCK, lanes - shakerbeam.roots._BLOCK]
+        for block, chunks in ((100, math.ceil(lanes / 100)), (2**14, 1)):
+            clear_half_period_table()
+            calls.clear()
+            monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
+            found = shakerbeam.roots._scan_jobs(params, step, jobs)
+            assert len(calls) == chunks and sum(_lanes(calls)) == lanes
+            assert [_scan_bits(scan) for scan in found] == want
+
+    def test_exact_window_error_after_precondition(self, params):
+        # mu_max + epsilon past the limit: exit-4 precondition first, then the
+        # exact window's error names mu_max + epsilon
+        with pytest.raises(LocalizationPreconditionError, match="epsilon"):
+            verify_localization(params, 2000.0, 999000.0, 1e6)
+        with pytest.raises(ConfigurationError, match=r"mu_max \+ epsilon = 1002000\.0 is above the window limit"):
+            verify_localization(params, 2000.0, 999999.5, 1e6)
 
 
 class TestWindowLimit:
@@ -894,12 +965,13 @@ class TestVerifyLocalization:
     def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch):
         """Every anchor against every exact root, from the report's own scans."""
         scans = []
+        scan_jobs = shakerbeam.roots._scan_jobs
 
         def recording_scan(*args):
-            scans.append(_scan(*args))
-            return scans[-1]
+            scans.extend(scan_jobs(*args))
+            return scans[-2:]
 
-        monkeypatch.setattr(shakerbeam.roots, "_scan", recording_scan)
+        monkeypatch.setattr(shakerbeam.roots, "_scan_jobs", recording_scan)
         report = verify_localization(beam, epsilon, threshold, mu_max)
         truncated, exact = (found[0][0].tolist() for found in scans)
         anchors = [a for a in truncated if a > threshold]
