@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BeamParameters, ValidationError, validate_parameters
-from .modes import DegenerateModeError, evaluate_mode, normalize_L2, solve_mode
+from .modes import DegenerateModeError, _eval_amps, normalize_L2, solve_mode
 from .roots import (
     ConfigurationError,
     LocalizationPreconditionError,
@@ -190,15 +190,21 @@ def _svg(title: str, xlabel: str, ylabel: str, series) -> str:
             f'<text x="{m - 8}" y="{py(ty):.2f}" text-anchor="end" dominant-baseline="middle" '
             f'font-size="11">{ty:.4g}</text>'
         )
+    x_text = {}  # "x\0" per point of each distinct x array, formatted once per plot
     for kind, xs, ys, label, color in series:
-        xy = px(xs).tolist(), py(ys).tolist()
+        key = xs.tobytes()
+        if key not in x_text:
+            x_text[key] = "%.2f\0" * xs.size % tuple(px(xs).tolist())
+        y = tuple(py(ys).tolist())  # one %.2f %-format per series, the text of {:.2f}
         if kind == "line":
-            pts = " ".join(map("{:.2f},{:.2f}".format, *xy))
+            pts = (x_text[key].replace("\0", ",%.2f ") % y)[:-1]
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
-        else:
-            parts.extend(map(f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="3" fill="{color}"/>'.format, *xy))
+        elif xs.size:
+            tail = '\n<circle cx="'
+            circle = f'" cy="%.2f" r="3" fill="{color}"/>' + tail
+            parts.append(('<circle cx="' + x_text[key].replace("\0", circle) % y)[: -len(tail)])
     for i, (_, _, _, label, color) in enumerate(series):
         ly = m + 16 + 16 * i
         parts.append(
@@ -218,18 +224,24 @@ def _write_text(out_dir, name: str, chunks) -> None:
 def _csv(header, *columns):
     """CSV text in chunks of _BLOCK rows, each formatted by one %-format.  A
     float cell is written as %.9g, the same text as fmt9; None is an empty cell
-    and a str is written as it is.  Numpy array columns hold numbers only."""
+    and a str is written as it is.  A numpy array column holds numbers, or str
+    cells in an object array (as _text_column makes them): one %s per column."""
     yield ",".join(header) + "\n"
     for i in range(0, len(columns[0]), _BLOCK):
         part = [column[i : i + _BLOCK] for column in columns]
         if all(isinstance(column, np.ndarray) for column in part):
-            line = ",".join(["%.9g"] * len(part)) + "\n"
-            yield (line * len(part[0])) % tuple(np.column_stack(part).ravel().tolist())
+            line = ",".join(["%s" if c.dtype == object else "%.9g" for c in part]) + "\n"
+            yield (line * len(part[0])) % tuple(np.array(part, object).T.ravel().tolist())
         else:
             cells = [v for row in zip(*part) for v in row]
             specs = ["" if v is None else "%s" if isinstance(v, str) else "%.9g" for v in cells]
             text = ("%s" + ",%s" * (len(part) - 1) + "\n") * (len(cells) // len(part)) % tuple(specs)
             yield text % tuple([v for v in cells if v is not None])
+
+
+def _text_column(values: np.ndarray) -> np.ndarray:
+    """The fmt9 text of values as a str column for _csv, for a column several CSVs share."""
+    return np.array(("%.9g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1], object)
 
 
 def _resolve_window(config: RunConfig):
@@ -340,15 +352,23 @@ def cmd_modes(config: RunConfig, *indices: int) -> int:
         raise ConfigurationError(
             f"mode index(es) {bad} outside the computed root list (1..{len(exact)})"
         )
-    series = []
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     xs = np.linspace(0.0, config.params.length, config.mode_samples)
     os.makedirs(config.out, exist_ok=True)
-    for k, j in enumerate(indices):
-        mode = normalize_L2(solve_mode(exact[j - 1], config.params))
-        u = evaluate_mode(mode, xs)
-        _write_text(config.out, f"mode_{j}.csv", _csv(("x", "u"), xs, u))
-        series.append(("line", xs, u, f"mode {j} (mu={mode.mu:.4f})", colors[k % len(colors)]))
+    shapes = [normalize_L2(solve_mode(exact[j - 1], config.params)) for j in indices]
+    u = np.empty((len(shapes), xs.size))
+    rows = max(1, 2**16 // xs.size)  # modes evaluated at a time: temporaries of at most 2**16 points
+    for i in range(0, len(shapes), rows):
+        chunk = shapes[i : i + rows]
+        u[i : i + rows] = _eval_amps(xs, [m.mu for m in chunk], config.params, [m.amplitudes for m in chunk], 0)
+    x_text = _text_column(xs)
+    for j, row in zip(indices, u):
+        _write_text(config.out, f"mode_{j}.csv", _csv(("x", "u"), x_text, row))
+    del x_text  # the SVG has its own x text; free the CSV cells first
+    series = [
+        ("line", xs, row, f"mode {j} (mu={m.mu:.4f})", colors[k % len(colors)])
+        for k, (j, m, row) in enumerate(zip(indices, shapes, u))
+    ]
     _write_text(config.out, "modes.svg", [_svg("Normalized eigenmodes", "x [m]", "u(x)", series)])
     if not config.quiet:
         print(f"wrote {config.out}/modes.svg and {len(indices)} mode CSVs")

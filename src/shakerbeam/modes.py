@@ -81,8 +81,8 @@ class ModeShape:
     @property
     def attachment(self) -> tuple:
         """(p, |q|): p = u(l0), and q = i omega p, as the eigenvalue is purely imaginary."""
-        p = _eval_amps(self.params.attachment_point, self.mu, self.params, self.amplitudes, 0)
-        return (p, to_spectral_point(self.mu, self.params).omega * p)
+        p = evaluate_mode(self, self.params.attachment_point)
+        return (p, to_spectral_point(self.mu, self.params).omega * abs(p))
 
 
 def _interface_system(mu: float, params: BeamParameters) -> np.ndarray:
@@ -170,44 +170,43 @@ def solve_mode(root: Root, params: BeamParameters) -> ModeShape:
 
 
 def _eval_amps(x, mu, params, amps, derivative):
-    """Evaluate the mode (or a derivative) from the scaled amplitudes.
+    """Evaluate k modes (or a derivative) at the points x from their scaled amplitudes.
 
-    sinh(mu x) e^{-mu l0} is computed as (e^{mu(x-l0)} - e^{-mu(x+l0)})/2 --
-    both exponents are <= 0 on the branch, so no term exceeds 1/2 in magnitude
-    and the evaluation is cancellation-free at any mu.
+    mu holds the k spectral parameters and amps their (k, 4) amplitudes; the
+    result is (k, len(x)).  sinh(mu x) e^{-mu l0} is computed as
+    (e^{mu(x-l0)} - e^{-mu(x+l0)})/2 -- both exponents are <= 0 on the branch,
+    so no term exceeds 1/2 in magnitude and the evaluation is cancellation-free
+    at any mu.
     """
-    a, B, c, D = amps
+    a, B, c, D = np.asarray(amps, dtype=float).T[:, :, None]
+    mu = np.asarray(mu, dtype=float)[:, None]
     l, l0 = params.length, params.attachment_point
-    scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     left = x <= l0
-    out = np.empty_like(x)
+    out = np.empty((len(mu), x.size))
 
     xl = x[left]
-    sh = 0.5 * (np.exp(mu * (xl - l0)) - np.exp(-mu * (xl + l0)))
-    ch = 0.5 * (np.exp(mu * (xl - l0)) + np.exp(-mu * (xl + l0)))
-    s, co = np.sin(mu * xl), np.cos(mu * xl)
-    out[left] = _branch_derivative(mu, derivative, a, B, sh, ch, s, co)
-
+    out[:, left] = _branch(mu, derivative, a, B, np.exp(mu * (xl - l0)), np.exp(-mu * (xl + l0)), mu * xl)
     xr = x[~left]
     if xr.size:
         t = l - l0
-        sh = 0.5 * (np.exp(mu * (xr - l) - mu * t) - np.exp(-mu * (xr - l) - mu * t))
-        ch = 0.5 * (np.exp(mu * (xr - l) - mu * t) + np.exp(-mu * (xr - l) - mu * t))
-        s, co = np.sin(mu * (xr - l)), np.cos(mu * (xr - l))
-        out[~left] = _branch_derivative(mu, derivative, c, D, sh, ch, s, co)
-    return float(out[0]) if scalar else out
+        e_plus, e_minus = np.exp(mu * (xr - l) - mu * t), np.exp(-mu * (xr - l) - mu * t)
+        out[:, ~left] = _branch(mu, derivative, c, D, e_plus, e_minus, mu * (xr - l))
+    return out
 
 
-def _branch_derivative(mu, derivative, p, q, sh, ch, s, co):
-    """The derivative of p sh + q s on one branch, given sh' = mu ch, s' = mu co."""
+def _branch(mu, derivative, p, q, e_plus, e_minus, arg):
+    """The derivative of p sh + q sin(arg) on one branch, with sh = (e_plus - e_minus)/2,
+    sh' = mu ch and sin' = mu cos."""
+    if derivative % 2:
+        hyp, trig = 0.5 * (e_plus + e_minus), np.cos(arg)
+    else:
+        hyp, trig = 0.5 * (e_plus - e_minus), np.sin(arg)
+    value = p * hyp + q * trig if derivative < 2 else p * hyp - q * trig
     if derivative == 0:
-        return p * sh + q * s
-    if derivative == 1:
-        return mu * (p * ch + q * co)
-    if derivative == 2:
-        return mu**2 * (p * sh - q * s)
-    return mu**3 * (p * ch - q * co)
+        return value
+    # Python's float pow, as on a scalar mu: numpy's mu**2 and mu**3 round differently
+    return np.array([m**derivative for m in mu[:, 0].tolist()])[:, None] * value
 
 
 def evaluate_mode(mode: ModeShape, x, derivative: int = 0):
@@ -223,7 +222,8 @@ def evaluate_mode(mode: ModeShape, x, derivative: int = 0):
         raise DomainError(
             f"x outside the beam span [0, {mode.params.length}]: {x!r}"
         )
-    return _eval_amps(arr, mode.mu, mode.params, mode.amplitudes, derivative)
+    out = _eval_amps(arr.ravel(), [mode.mu], mode.params, [mode.amplitudes], derivative)[0]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _branch_norm_sq(mu: float, t: float, p: float, q: float) -> float:

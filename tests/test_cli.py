@@ -9,6 +9,8 @@ import os
 import pathlib
 import random
 import re
+import runpy
+import sys
 import tracemalloc
 import warnings
 
@@ -17,6 +19,7 @@ import pytest
 
 from shakerbeam import cli, phi
 from shakerbeam.cli import load_config, main
+from shakerbeam.modes import evaluate_mode
 from shakerbeam.roots import closed_form_roots_half
 
 
@@ -468,6 +471,32 @@ class TestModesCommand:
         monkeypatch.setattr(cli, "solve_mode", boom)
         assert main(["--out", str(tmp_path), "--quiet", "modes", "1"]) == 5
 
+    # 2**16 // 7 + 1 samples put 6 modes in each evaluation chunk: 6, 6, 6 and 2
+    @pytest.mark.parametrize("samples", [2, 2**16 // 7 + 1])
+    def test_every_mode_equals_evaluate_mode_bit_for_bit(self, samples, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mode_samples = {samples}\n")
+        shapes, columns = [], []
+        normalize, csv_text = cli.normalize_L2, cli._csv
+
+        def keep_shape(mode):
+            shapes.append(normalize(mode))
+            return shapes[-1]
+
+        def keep_columns(header, *cols):
+            columns.append(cols)
+            return csv_text(header, *cols)
+
+        monkeypatch.setattr(cli, "normalize_L2", keep_shape)
+        monkeypatch.setattr(cli, "_csv", keep_columns)
+        argv = ["--config", str(cfg), "--out", str(tmp_path), "--quiet", "modes", *map(str, range(1, 21))]
+        assert main(argv) == 0
+        xs = np.linspace(0.0, load_config().params.length, samples)
+        assert len(shapes) == len(columns) == 20
+        for mode, (x_text, u) in zip(shapes, columns):
+            assert x_text.tolist() == [cli.fmt9(x) for x in xs]
+            assert u.tobytes() == evaluate_mode(mode, xs).tobytes()
+
     def test_custom_sampling_resolution(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("mode_samples = 51\n")
@@ -516,6 +545,47 @@ class TestGrowthCommand:
             slope = np.polyfit(js, mus[9:], 1)[0]
             slopes.append(slope)
         assert abs(slopes[1] - slopes[0]) <= 0.15 * slopes[0]
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+class TestScripts:
+    @staticmethod
+    def run_script(name, argv, monkeypatch):
+        monkeypatch.setattr(sys, "argv", [name, *argv])
+        with pytest.raises(SystemExit) as exc_info:
+            runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+        return exc_info.value.code
+
+    def assert_same_files(self, a, b):
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("options", [[], ["--n-roots=6", "--l0", "1.2"]])
+    def test_make_figures_passes_mode_indices_to_modes_only(self, options, tmp_path, monkeypatch, half_cfg):
+        script, cli_out = tmp_path / "script", tmp_path / "cli"
+        shared = ["--config", half_cfg, "--quiet", *options]
+        argv = ["--out", str(script), *shared, "1", "3"]
+        assert self.run_script("make_figures.py", argv, monkeypatch) == 0
+        assert main(["--out", str(cli_out), *shared[:3], "modes", *shared[3:], "1", "3"]) == 0
+        assert main(["--out", str(cli_out), *shared[:3], "growth", *shared[3:]]) == 0
+        self.assert_same_files(script, cli_out)
+        assert sorted(p.name for p in script.iterdir()) == [
+            "growth.csv", "growth.svg", "mode_1.csv", "mode_3.csv", "modes.svg"
+        ]
+
+    def test_make_figures_stops_at_a_failing_modes_run(self, tmp_path, monkeypatch):
+        assert self.run_script("make_figures.py", ["--out", str(tmp_path), "--quiet", "99"], monkeypatch) == 1
+        assert not (tmp_path / "growth.csv").exists()
+
+    def test_reproduce_table_writes_the_roots_table(self, tmp_path, monkeypatch):
+        argv = ["--out", str(tmp_path / "script"), "--quiet", "--mu-max", "20"]
+        assert self.run_script("reproduce_table.py", argv, monkeypatch) == 0
+        assert main(["--out", str(tmp_path / "cli"), "--quiet", "roots", "--mu-max", "20"]) == 0
+        self.assert_same_files(tmp_path / "script", tmp_path / "cli")
 
 
 class TestExitCodes:
@@ -642,6 +712,62 @@ class TestArtifactWriter:
         line = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == line
         circles = [f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#111"/>' for x, y in zip(xp, yp)]
+        assert [s for s in svg.split("\n") if s.startswith("<circle")] == circles
+
+    def test_shared_text_column_matches_value_by_value(self):
+        n = 3 * cli._BLOCK + 17
+        x, u, v = seeded_floats(n, 7), seeded_floats(n, 8), seeded_floats(n, 9)
+        x_text = cli._text_column(x)  # -0.0, subnormals and the largest double among them
+        assert x_text.tolist() == [cli.fmt9(value) for value in x]
+        assert "".join(cli._csv(("x", "u"), x_text, u)) == csv_value_by_value(("x", "u"), zip(x, u))
+        # the text column in any place, and alone
+        text = "".join(cli._csv(("u", "x", "v"), u, x_text, v))
+        assert text == csv_value_by_value(("u", "x", "v"), zip(u, x, v))
+        assert "".join(cli._csv(("x",), x_text)) == csv_value_by_value(("x",), zip(x))
+
+    def test_svg_shared_x_and_markers_match_per_point_fstrings(self):
+        # the data span [0, 30] x [-3, 3], so the scale is fixed before the
+        # points that land on exact %.2f ties (x.xx5 in binary) are chosen
+        m, w, h = 60, 720, 480
+        pad_x, pad_y = 0.04 * (30.0 - 0.0), 0.06 * (3.0 - -3.0)
+        x0, x1, y0, y1 = 0.0 - pad_x, 30.0 + pad_x, -3.0 - pad_y, 3.0 + pad_y
+
+        def px(x):
+            return m + (x - x0) / (x1 - x0) * (w - 2 * m)
+
+        def py(y):
+            return h - m - (y - y0) / (y1 - y0) * (h - 2 * m)
+
+        def value_at_pixel(scale, pixel, lo, hi):
+            up = scale(hi) > scale(lo)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if scale(mid) == pixel:
+                    return mid
+                lo, hi = (mid, hi) if (scale(mid) < pixel) == up else (lo, mid)
+            raise AssertionError(f"no value lands on pixel {pixel}")
+
+        ties = [100.125, 150.375, 200.625, 250.875]  # %.2f: 100.12, 150.38, 200.62, 250.88
+        rng = np.random.default_rng(16)
+        xs = np.concatenate([[0.0, 30.0], [value_at_pixel(px, t, 0.0, 30.0) for t in ties]])
+        xs = np.concatenate([xs, np.sort(rng.uniform(0.0, 30.0, 394))])
+        ys = [rng.uniform(-3.0, 3.0, xs.size) for _ in range(3)]
+        ys[0][:8] = [-3.0, 3.0, -0.0, 0.0, 0.125, 0.375, -0.125, -0.375]
+        ys[1][:4] = [value_at_pixel(py, t, -3.0, 3.0) for t in ties]
+        assert [f"{px(x):.2f}" for x in xs[2:6]] == ["100.12", "150.38", "200.62", "250.88"]
+        # the growth plot's two marker sets: equal x values in separate arrays
+        xp = [np.arange(1.0, 24.0), np.arange(1.0, 24.0)]
+        yp = [rng.uniform(-3.0, 3.0, 23), np.array([value_at_pixel(py, t, -3.0, 3.0) for t in ties] * 5 + [0.0] * 3)]
+        series = [("line", xs, y, f"mode {k}", "#00000%d" % k) for k, y in enumerate(ys)]
+        series += [("points", x, y, f"set {k}", "#11111%d" % k) for k, (x, y) in enumerate(zip(xp, yp))]
+        svg = cli._svg("t", "x", "y", series)
+        lines = [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, y)) for y in ys]
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == lines
+        circles = [
+            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#11111{k}"/>'
+            for k, (xk, yk) in enumerate(zip(xp, yp))
+            for x, y in zip(xk, yk)
+        ]
         assert [s for s in svg.split("\n") if s.startswith("<circle")] == circles
 
     def test_output_directory_made_once_per_command(self, tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from shakerbeam import (
     solve_mode,
     to_spectral_point,
 )
+from shakerbeam.modes import _eval_amps
 from conftest import default_step, seeded_beams
 from reference import _branch_quadrature
 
@@ -131,6 +132,13 @@ class TestSolveMode:
         assert np.max(np.abs(u0 + u0[::-1])) < 1e-6 * np.max(np.abs(u0))
         assert np.max(np.abs(u1 - u1[::-1])) < 1e-6 * np.max(np.abs(u1))
 
+    def test_attachment_second_value_is_omega_times_abs_p(self, params, exact_roots):
+        # mode 2 of the default beam has p = u(l0) < 0, and |q| = omega |p| is positive
+        mode = normalize_L2(solve_mode(exact_roots[1], params))
+        p, q = mode.attachment
+        assert p == pytest.approx(-0.358, abs=1e-3) and q == pytest.approx(32.79, abs=1e-2)
+        assert q == to_spectral_point(mode.mu, params).omega * -p
+
     def test_attachment_value_matches_curve(self, params, modes):
         for mode in modes[:6]:
             assert mode.attachment[0] == pytest.approx(
@@ -155,6 +163,26 @@ class TestEvaluateMode:
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
             assert evaluate_mode(modes[2], float(x)) == v
+
+    @pytest.mark.parametrize("beam", ["params", "half_params"])
+    def test_batched_evaluation_equals_evaluate_mode_bit_for_bit(self, beam, request):
+        # the modes command evaluates every requested mode in one _eval_amps
+        # call; evaluate_mode is its one-mode case
+        params = request.getfixturevalue(beam)
+        step = default_step(params)
+        roots = scan_roots(Target.Phi, params, 0.1, 60.0, step)[:20]
+        roots += [r for mu in (1e3, 1e5) for r in scan_roots(Target.Phi, params, mu, mu + 3.0, step)[:2]]
+        shapes = [normalize_L2(solve_mode(r, params)) for r in roots]
+        assert len(shapes) == 24
+        l, l0 = params.length, params.attachment_point
+        for n in (2, 401):
+            xs = np.concatenate([np.linspace(0.0, l, n), [0.0, l0, l]])
+            for der in range(4):
+                batch = _eval_amps(xs, [m.mu for m in shapes], params, [m.amplitudes for m in shapes], der)
+                for mode, row in zip(shapes, batch):
+                    assert row.tobytes() == evaluate_mode(mode, xs, der).tobytes()
+                    ends = [evaluate_mode(mode, x, der) for x in (0.0, l0, l)]
+                    assert np.array(ends).tobytes() == row[-3:].tobytes()
 
     def test_derivatives_match_central_differences(self, params, modes):
         xs = np.array([0.3, 0.9, 1.2, 1.55, 1.8])  # both sides of l0 = 1.4
@@ -209,7 +237,7 @@ class TestNormalize:
                 assert m.boundary_values == pytest.approx(ends, rel=1e-9, abs=1e-9 * max(map(abs, ends)))
                 p, q = m.attachment
                 assert p == pytest.approx(evaluate_mode(m, l0), rel=1e-12)
-                assert q == pytest.approx(to_spectral_point(m.mu, params).omega * p, rel=1e-12)
+                assert q == pytest.approx(to_spectral_point(m.mu, params).omega * abs(p), rel=1e-12)
 
     def test_records_normalization_factor(self, modes):
         normed = normalize_L2(modes[0])
