@@ -8,18 +8,18 @@ of scans, in one lockstep safeguarded Brent batch, _BLOCK at a time: each
 round evaluates once, on an array of the brackets still open.  On a phi grid, phi1 is
 evaluated only where a phi0 screen cannot show that it leaves the scan
 unchanged.  Full half-periods refined by the last scan of a function above
-mu* are kept in a table and taken from it, not refined again, when the next
-scan of the same beam brackets them identically.  ``verify_localization`` checks the
-asymptotic pairing structure: above a threshold, every truncated root has
-exactly one exact root in its epsilon-neighborhood and the complement holds
-none.  It and ``pair_mutual_nearest`` search the sorted roots with ``np.searchsorted``.
+mu* are kept in a table by their number k and taken from it, not refined
+again, when the next scan of the same beam meets their end values again.
+``verify_localization`` checks the asymptotic pairing structure: above a
+threshold, every truncated root has exactly one exact root in its
+epsilon-neighborhood, its nearest, and the complement holds none.  It and
+``pair_mutual_nearest`` find nearest roots with ``_nearest_index``.
 ``closed_form_roots_half`` generates the explicit root sequence available when
 the attachment sits at midspan.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
@@ -58,7 +58,7 @@ _BLOCK = 2**13  # grid points per scan block: fits the cache, amortizes numpy ca
 _MU_MIN = 1e-6  # window floor: below ~1e-77, mu**4 underflows and phi is NaN
 _MU_MAX = 1e6  # window limit, the range phi is tested on; scans may end 0.1% past it
 _SCREEN_SPAN = 64  # grid points that share one value of the phi1 envelope
-_MAX_POINTS = 2**32  # grid size limit, ~90x the default grid to mu = 1e6
+_MAX_POINTS = 2**32  # limit on the grid below mu*; above mu* there is none
 
 
 class ConfigurationError(ValueError):
@@ -180,10 +180,11 @@ def _target_fn(target: Target, params: BeamParameters) -> Callable:
     return _Phi(params) if target is Target.Phi else _Phi0(params)
 
 
-# function class -> None, or (params, keys, columns) of the full half-periods
-# that its last scan above mu* refined: keys[i] = (a, fa, b, fb), ascending in
-# a, and columns the five ``_refine_brackets`` arrays.  An entry is replaced
-# whole, so a concurrent scan reads either the old table or the new one.
+# function class -> None, or (params, k0, ends, columns) of the full
+# half-periods (mu_k, mu_{k+1}), k0 <= k < k0 + n, that its last scan above mu*
+# refined: ends the n + 1 values at their edges mu_k0 .. mu_{k0+n}, and columns
+# the five ``_refine_brackets`` arrays.  An entry is replaced whole, so a
+# concurrent scan reads either the old table or the new one.
 _HALF_PERIODS: dict = {_Phi: None, _Phi0: None}
 
 
@@ -281,34 +282,25 @@ def _refine_brackets(f: Callable, a, fa, b, fb, lanes=None):
 
 
 def _lookup(f: Callable, a, fa, b, fb) -> tuple:
-    """(run, lane, stored) for the ascending brackets of a scan of f above mu*:
-    the slice run of its full half-periods (mu_k, mu_{k+1}), the lanes left to
-    refine (slice(None) without a table), and the columns that the table of
-    f's class holds for the others.  The full half-periods follow the grid
-    brackets and at most one partial one, so they are one run a[s:t].  A lane
-    is taken only when the table holds f's beam and a, fa, b and fb bitwise;
-    its refinement depends on nothing else, so it is a cold one, bit for bit."""
+    """(full, first, lane, stored) for the ascending brackets of a scan of f
+    above mu*: which brackets are full half-periods (mu_k, mu_{k+1}), with k =
+    rint(a l/pi - 1/4), [k] of the first ([] if none), the lanes left to refine
+    (slice(None) without a table), and the columns that the table of f's class
+    holds for the others.  A lane is taken only when the table holds f's beam
+    and its half-period k, with fa and fb bitwise the stored end values; its
+    refinement depends on nothing else, so it is a cold one, bit for bit."""
     l = f.params.length
-
-    def full(i: int) -> bool:
-        k = round(float(a[i]) * l / math.pi - 0.25)
-        return _edge(k, l) == a[i] and _edge(k + 1, l) == b[i]
-
-    t = a.size - (a.size > 0 and not full(a.size - 1))
-    s = bisect.bisect_left(range(t), True, key=full)
+    k = np.rint(a * l / math.pi - 0.25).astype(int)
+    full = (_edge(k, l) == a) & (_edge(k + 1, l) == b)
+    first = k[full][:1].tolist()  # not k itself: it would be held through the batch
     table = _HALF_PERIODS[type(f)]
     if table is None or table[0] != f.params:
-        return slice(s, t), slice(None), ()
-    _, stored, cached = table
-    # only the run's brackets within the stored edges can match, at most _BLOCK
-    i0 = s + int(np.searchsorted(a[s:t], stored[0, 0]))
-    i1 = s + int(np.searchsorted(a[s:t], stored[-1, 0], side="right"))
-    keys = np.stack((a[i0:i1], fa[i0:i1], b[i0:i1], fb[i0:i1]), axis=1)
-    j = np.minimum(np.searchsorted(stored[:, 0], keys[:, 0]), stored.shape[0] - 1)
-    same = np.all(stored[j].view(np.int64) == keys.view(np.int64), axis=1)
-    lane = np.ones(a.size, dtype=bool)
-    lane[i0:i1] = ~same
-    return slice(s, t), lane, tuple(column[j[same]] for column in cached)
+        return full, first, slice(None), ()
+    _, k0, ends, cached = table
+    j = np.clip(k - k0, 0, ends.size - 2)
+    ends = ends.view(np.int64)
+    same = full & (j == k - k0) & (ends[j] == fa.view(np.int64)) & (ends[j + 1] == fb.view(np.int64))
+    return full, first, ~same, tuple(column[j[same]] for column in cached)
 
 
 def _lanes_fn(fns: list) -> Callable:
@@ -460,15 +452,17 @@ def _check_window(params: BeamParameters, mu_min: float, mu_max: float, step: fl
         )
     if mu_max > 1.001 * _MU_MAX:
         raise ConfigurationError(f"{top} = {mu_max} is above the window limit {_MU_MAX:g}")
-    if (mu_max - mu_min) / step >= _MAX_POINTS:
+    grid = (min(mu_max, _mu_star(params, mu_max)) - mu_min) / step  # none above mu* (``_grid_end``)
+    if not (grid < _MAX_POINTS and (mu_max - mu_min) / step < math.inf):  # and n, the nominal count, is finite
         raise ConfigurationError(f"step {step:g} too fine: the grid would exceed {_MAX_POINTS} points")
 
 
 def _scan_jobs(params: BeamParameters, step: float, jobs) -> list:
     """``_scan`` of each (target, mu_min, mu_max) job on one beam and step: each
-    job's brackets and table hits (``_lookup``) are those of its own scan, and
-    one Brent batch refines the lanes left of every job, _BLOCK at a time.
-    Lanes never mix, so the columns are bit for bit those of separate scans."""
+    job's brackets and table hits (``_lookup``, by half-period k) are those of
+    its own scan, and one Brent batch refines the lanes left of every job,
+    _BLOCK at a time.  Lanes never mix, so the columns are bit for bit those of
+    separate scans.  No grid point lies above mu*, whatever the step."""
     fns = [_target_fn(target, params) for target, _, _ in jobs]
     found, looked = [], []
     for f, (_, mu_min, mu_max) in zip(fns, jobs):
@@ -482,8 +476,8 @@ def _scan_jobs(params: BeamParameters, step: float, jobs) -> list:
             parts.append(_reduce_edges(f, g, mu_max, params.length))
         found.append([np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])])
         above = end <= n and type(f) in _HALF_PERIODS
-        looked.append(_lookup(f, *found[-1][:4]) if above else (None, slice(None), ()))
-    pending = [[column[lane] for column in c[:4]] for c, (_, lane, _) in zip(found, looked)]
+        looked.append(_lookup(f, *found[-1][:4]) if above else (None, None, slice(None), ()))
+    pending = [[column[lane] for column in c[:4]] for c, (_, _, lane, _) in zip(found, looked)]
     counts = [a.size for a, *_ in pending]
     batch = [np.concatenate(column) if len(column) > 1 else column[0] for column in zip(*pending)]
     f, job = (fns[0], None) if len(fns) == 1 else (_lanes_fn(fns), np.repeat(np.arange(len(fns)), counts))
@@ -497,17 +491,16 @@ def _scan_jobs(params: BeamParameters, step: float, jobs) -> list:
     del pending, batch, job, tags, part  # before the result columns are built; tags views job
     split = zip(*(np.split(column, np.cumsum(counts)[:-1]) for column in solved))
     results = []
-    for f, columns, (run, lane, stored), refined in zip(fns, found, looked, split):
+    for f, columns, (full, first, lane, stored), refined in zip(fns, found, looked, split):
         a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = columns
         if stored:  # the lanes taken from the table go back in their places
             left, refined = refined, [np.empty(a.size, dtype=column.dtype) for column in refined]
             for out, column, stored_column in zip(refined, left, stored):
                 out[lane], out[~lane] = column, stored_column
-        if run is not None:  # the run replaces the table, or empties it if longer than _BLOCK
-            entry = None
-            if 0 < run.stop - run.start <= _BLOCK:
-                keys = np.stack((a[run], fa[run], b[run], fb[run]), axis=1)
-                entry = (params, keys, tuple(column[run].copy() for column in refined))
+        if full is not None:  # the full half-periods replace the table, or empty it if more than _BLOCK
+            i, entry = np.flatnonzero(full), None  # consecutive in k: above mu* each half-period is a bracket
+            if 0 < i.size <= _BLOCK:
+                entry = (params, first[0], np.append(fa[i], fb[i[-1]]), tuple(c[i] for c in refined))
             _HALF_PERIODS[type(f)] = entry
         x, fx, iterations, lo, hi = refined
         # refinements that miss the residual contract are not roots
@@ -550,10 +543,10 @@ def scan_with_suspects(
 
     Each full half-period's refinement depends only on the beam, the target
     and its edges, so a scan above mu* keeps its full half-periods (at most
-    _BLOCK) in a per-target table, and the next scan of the same beam takes
-    those it brackets identically from there (``_lookup``); the roots are
-    bit for bit those of a cold scan.  Grid brackets and the two partial
-    half-periods are always refined.  Roots are ``Root`` tuples.
+    _BLOCK) in a per-target table by number k, and the next scan of the same
+    beam takes each one with the same k and end values from there (``_lookup``);
+    the roots are bit for bit those of a cold scan.  Grid brackets and the two
+    partial half-periods are always refined.  Roots are ``Root`` tuples.
     """
     roots, suspects = _scan(target, params, mu_min, mu_max, step)
     mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)
@@ -663,50 +656,30 @@ def verify_localization(
         raise late
     exact = found[1][found[1] > threshold_M]
 
-    # anchors are more than 2 epsilon apart, so an exact root lies in at most
-    # one neighborhood, that of one of its two neighbouring anchors
-    owner = np.full(exact.size, -1)
-    if anchors.size:
-        above = np.searchsorted(anchors, exact)
-        for k in (np.maximum(above - 1, 0), np.minimum(above, anchors.size - 1)):
-            owner = np.where(np.abs(exact - anchors[k]) < epsilon, k, owner)
-    owned = owner >= 0
-    counts = np.bincount(owner[owned], minlength=anchors.size).tolist()
-    starts = np.searchsorted(owner[owned], np.arange(anchors.size)).tolist()
-    inside_all = exact[owned].tolist()
-    pairings = []
-    unique = PairingStatus.PairedUnique  # looked up once: it costs as much as a row
-    for anchor, start, count in zip(anchors.tolist(), starts, counts):
-        if count == 1:
-            partner = inside_all[start]
-            pairings.append((anchor, partner, abs(partner - anchor), epsilon, unique))
-        elif not count:
-            pairings.append((anchor, None, None, epsilon, PairingStatus.NoExactRootInNeighborhood))
-        else:
-            partner = min(inside_all[start : start + count], key=lambda m: abs(m - anchor))
-            status = PairingStatus.MultipleExactRoots
-            pairings.append((anchor, partner, abs(partner - anchor), epsilon, status))
-    strays = tuple(exact[~owned & (exact <= mu_max)].tolist())
-    verdict = all(count == 1 for count in counts) and not strays
+    owner = _owner(exact, anchors, epsilon)
+    counts = np.bincount(owner[owner >= 0], minlength=anchors.size)
+    # an anchor's nearest exact root lies in its neighborhood whenever any
+    # does; a tie goes to the lower root
+    nearest = exact[_nearest_index(anchors, exact)] if exact.size else anchors  # no partner is read
+    paired = counts > 0
+    kinds = (PairingStatus.NoExactRootInNeighborhood, PairingStatus.PairedUnique, PairingStatus.MultipleExactRoots)
+    status = np.array(kinds, dtype=object)[np.minimum(counts, 2)]  # by count: 0, 1, 2 or more
+    columns = (np.where(paired, nearest, None), np.where(paired, np.abs(nearest - anchors), None))
+    rows = zip(anchors.tolist(), *(c.tolist() for c in columns), itertools.repeat(epsilon), status.tolist())
+    strays = tuple(exact[(owner < 0) & (exact <= mu_max)].tolist())
+    verdict = bool(np.all(counts == 1)) and not strays
 
     # empirical margins: min |phi0| over the complement, min |phi0'| near anchors
     sample = np.linspace(lo, mu_max, 4001)
-    in_neighborhood = np.zeros(sample.shape, dtype=bool)
     l, l0 = params.length, params.attachment_point
-    margin_p = None
-    if anchors.size:
-        # a sample's nearest anchor is one of its two neighbours in the list
-        above = np.minimum(np.searchsorted(anchors, sample), anchors.size - 1)
-        for k in (np.maximum(above - 1, 0), above):
-            in_neighborhood |= np.abs(sample - anchors[k]) < epsilon
-        margin_p = float(np.min(np.abs(phi0_prime(anchors, l, l0))))
-    phi0_vals = np.abs(phi0(sample, l, l0))
-    complement_vals = phi0_vals[(~in_neighborhood) & (sample > threshold_M)]
+    margin_p = float(np.min(np.abs(phi0_prime(anchors, l, l0)))) if anchors.size else None
+    outside = (_owner(sample, anchors, epsilon) < 0) & (sample > threshold_M)
+    complement_vals = np.abs(phi0(sample, l, l0))[outside]
     margin_c = float(np.min(complement_vals)) if complement_vals.size else None
     return LocalizationReport(
         threshold_M=threshold_M,
         epsilon=epsilon,
-        pairings=tuple(map(RootPairing._make, pairings)),
+        pairings=tuple(map(RootPairing._make, rows)),
         stray_roots=strays,
         verdict=verdict,
         warning=None,
@@ -714,6 +687,17 @@ def verify_localization(
         min_abs_phi0_prime_neighborhoods=margin_p,
         rational_ratio=rational,
     )
+
+
+def _owner(x: np.ndarray, anchors: np.ndarray, epsilon: float) -> np.ndarray:
+    """Index of the anchor whose epsilon-neighborhood holds each x, or -1.  The
+    anchors ascend more than 2 epsilon apart, so only one of the two around x can."""
+    owner = np.full(x.size, -1)
+    if anchors.size:
+        above = np.searchsorted(anchors, x)
+        for k in (np.maximum(above - 1, 0), np.minimum(above, anchors.size - 1)):
+            owner = np.where(np.abs(x - anchors[k]) < epsilon, k, owner)
+    return owner
 
 
 def _nearest_index(x: np.ndarray, pool: np.ndarray) -> np.ndarray:

@@ -387,11 +387,13 @@ class TestWindowLimit:
         assert "limit" in err and "Traceback" not in err
 
     def test_tiny_step_exits_1_at_once(self, tmp_path, capfd):
-        # 1e-300 overflows the block count; 1e-12 gives 3.8e13 grid points
-        for step in ("1e-300", "1e-12"):
+        # 1e-300 and 1e-12 give 3.8e301 and 3.8e13 grid points; above mu* there
+        # is no grid, but 5e-324 overflows the window's nominal point count
+        above = ["--mu-min", "200", "--mu-max", "1e4", "--step", "5e-324"]
+        for args in (["--step", "1e-300"], ["--step", "1e-12"], above):
             tracemalloc.start()
             try:
-                assert main(["--out", str(tmp_path), "--quiet", "roots", "--step", step]) == 1
+                assert main(["--out", str(tmp_path), "--quiet", "roots", *args]) == 1
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -543,6 +543,13 @@ def _spy_refinement(monkeypatch) -> list:
     return calls
 
 
+def _half_periods(a, b, l) -> tuple:
+    """(k, full): k = rint(a l/pi - 1/4) of each bracket (a, b), and whether it
+    is the full half-period between the edges mu_k and mu_{k+1}."""
+    k = np.round(a * l / math.pi - 0.25)
+    return k, ((k + 0.25) * (math.pi / l) == a) & ((k + 1.25) * (math.pi / l) == b)
+
+
 def _lanes(calls) -> list:
     return [a.size for a, _, _ in calls]
 
@@ -565,6 +572,16 @@ class TestHalfPeriodTable:
         (Target.Phi, 15.0, 1000.35),
     ]
 
+    # later windows above mu*: inside the stored k range, ending beyond it, and past it
+    LATER = [
+        (Target.Phi, 0.1, 1000.0),
+        (Target.Phi, 500.0, 1000.35),
+        (Target.Phi, 700.0, 1500.0),
+        (Target.Phi0, 0.1, 1000.0),
+        (Target.Phi0, 999.0, 1200.0),
+        (Target.Phi0, 1300.0, 1400.0),
+    ]
+
     @staticmethod
     def _beams(params):
         ratios = (0.05, 0.3, 0.5, 0.77, 0.95)
@@ -572,18 +589,36 @@ class TestHalfPeriodTable:
 
     def test_warm_scans_equal_cold(self, params, monkeypatch):
         calls = _spy_refinement(monkeypatch)
+        tables = shakerbeam.roots._HALF_PERIODS
+        classes = {Target.Phi: shakerbeam.roots._Phi, Target.Phi0: shakerbeam.roots._Phi0}
         for beam in self._beams(params):
-            step = default_step(beam)
-            calls.clear()
-            cold = [_scan_bits(_cold_scan(target, beam, lo, hi, step)) for target, lo, hi in self.WIDE_OP]
-            cold_lanes = _lanes(calls)
-            calls.clear()
-            clear_half_period_table()
-            warm = [_scan_bits(_scan(target, beam, lo, hi, step)) for target, lo, hi in self.WIDE_OP]
-            assert warm == cold
-            # verify's scans took most of their brackets from the table
-            lanes = _lanes(calls)
-            assert lanes[:2] == cold_lanes[:2] and sum(lanes[2:]) < sum(cold_lanes[2:]) / 2
+            l, step = beam.length, default_step(beam)
+            for windows in (self.WIDE_OP, self.LATER):
+                calls.clear()
+                cold = [_scan_bits(_cold_scan(target, beam, lo, hi, step)) for target, lo, hi in windows]
+                cold_calls, cold_lanes = list(calls), _lanes(calls)
+                calls.clear()
+                clear_half_period_table()
+                warm, taken = [], []
+                for (target, lo, hi), (a, b, _) in zip(windows, cold_calls):
+                    entry = tables[classes[target]]
+                    warm.append(_scan_bits(_scan(target, beam, lo, hi, step)))
+                    # exactly the cold lanes outside the stored k range are refined
+                    k, full = _half_periods(a, b, l)
+                    stored = np.zeros(a.size, dtype=bool)
+                    if entry is not None:
+                        _, k0, ends, _ = entry
+                        stored = full & (k0 <= k) & (k < k0 + ends.size - 1)
+                    assert np.array_equal(calls[-1][0], a[~stored])
+                    taken.append(np.count_nonzero(stored))
+                assert warm == cold
+                lanes = _lanes(calls)
+                if windows is self.WIDE_OP:
+                    # verify's scans took most of their brackets from the table
+                    assert lanes[:2] == cold_lanes[:2] and sum(lanes[2:]) < sum(cold_lanes[2:]) / 2
+                else:
+                    # a window above mu* inside the stored range takes its full half-periods at an offset
+                    assert taken[1] > 200 and lanes[1] <= 3 and taken[2] > 100
 
     def test_verify_refines_no_full_half_period(self, params, monkeypatch):
         calls = _spy_refinement(monkeypatch)
@@ -598,9 +633,7 @@ class TestHalfPeriodTable:
             assert np.all(np.diff(job) >= 0) and set(job.tolist()) == {0, 1}
             for target in (0, 1):
                 a_t, b_t = a[job == target], b[job == target]
-                k = np.round(a_t * l / math.pi - 0.25)
-                full = ((k + 0.25) * (math.pi / l) == a_t) & ((k + 1.25) * (math.pi / l) == b_t)
-                assert not full.any()
+                assert not _half_periods(a_t, b_t, l)[1].any()
                 # the lanes left are the grid brackets below mu* and the partial half-periods
                 assert np.count_nonzero(a_t < _mu_star(beam, 1000.0)) >= a_t.size - 2
 
@@ -629,13 +662,31 @@ class TestHalfPeriodTable:
             _scan(Target.Phi, beam, 15.0, 1000.0, step)
             assert _lanes(calls) == cold_lanes
 
+    def test_changed_end_value_takes_no_lane(self, params, monkeypatch):
+        # a half-period is taken only when both its end values are the stored bits
+        l, step = params.length, default_step(params)
+        _scan(Target.Phi0, params, 0.1, 1000.0, step)
+        _, k0, ends, _ = shakerbeam.roots._HALF_PERIODS[shakerbeam.roots._Phi0]
+        ends[100] = np.nextafter(ends[100], math.inf)
+        calls = _spy_refinement(monkeypatch)
+        _scan(Target.Phi0, params, 15.0, 1000.0, step)
+        [(a, b, _)] = calls
+        k, full = _half_periods(a, b, l)
+        assert k[full].tolist() == [k0 + 99, k0 + 100]
+
     def test_table_bounded_by_block(self, params):
-        step = default_step(params)
+        l, step = params.length, default_step(params)
         tables = shakerbeam.roots._HALF_PERIODS
         _scan(Target.Phi0, params, 0.1, 1e4, step)
-        stored = tables[shakerbeam.roots._Phi0][1]
-        assert 5900 < stored.shape[0] <= shakerbeam.roots._BLOCK
-        assert np.all(np.diff(stored[:, 0]) > 0.0)
+        _, k0, ends, (mu, _, _, lo, hi) = tables[shakerbeam.roots._Phi0]
+        assert 5900 < mu.size <= shakerbeam.roots._BLOCK and ends.size == mu.size + 1
+        # the stored roots lie in the consecutive half-periods k0, k0 + 1, ...,
+        # and ends holds phi0 at their edges
+        k = k0 + np.arange(mu.size)
+        for column in (mu, lo, hi):
+            assert np.array_equal(np.floor(column * l / math.pi - 0.25), k)
+        edges = (k0 + np.arange(ends.size) + 0.25) * (math.pi / l)
+        assert np.array_equal(ends, phi0(edges, l, params.attachment_point))
         _scan(Target.Phi0, params, 0.1, 1.5e4, step)  # about 9,000 half-periods
         assert tables[shakerbeam.roots._Phi0] is None
         _scan(Target.Phi0, params, 0.1, 1000.0, step)
@@ -763,6 +814,15 @@ class TestWindowLimit:
         roots = scan_roots(target, beam, lo, hi, default_step(beam))
         _grid_only(monkeypatch)
         assert len(roots) == len(scan_roots(target, beam, lo, hi, default_step(beam))) == changes == count
+
+    def test_fine_step_above_mu_star_builds_no_grid(self, params):
+        # the window lies above mu* = 107.6: its brackets are the edges, whatever the step
+        fine = _scan_bits(_scan(Target.Phi0, params, 200.0, 1e4, 2e-6))
+        clear_half_period_table()
+        assert fine == _scan_bits(_scan(Target.Phi0, params, 200.0, 1e4, default_step(params)))
+        for mu_min, mu_max, step in ((0.1, 1e4, 2e-8), (200.0, 1e4, 5e-324)):
+            with pytest.raises(ConfigurationError, match="too fine"):
+                _scan(Target.Phi0, params, mu_min, mu_max, step)
 
     def test_scan_above_limit_fails_before_allocating(self, params):
         tracemalloc.start()
@@ -962,10 +1022,11 @@ class TestVerifyLocalization:
             verify_localization(params, 0.35, threshold, 38.5)
 
     @staticmethod
-    def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch):
-        """Every anchor against every exact root, from the report's own scans."""
+    def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch, scan_jobs=None):
+        """Every anchor against every exact root, from the report's own scans,
+        which scan_jobs gives in place of ``_scan_jobs`` when it is set."""
         scans = []
-        scan_jobs = shakerbeam.roots._scan_jobs
+        scan_jobs = scan_jobs or shakerbeam.roots._scan_jobs
 
         def recording_scan(*args):
             scans.extend(scan_jobs(*args))
@@ -1028,6 +1089,25 @@ class TestVerifyLocalization:
                 report = self._check_against_brute_force(beam, epsilon, 0.0, 38.5, monkeypatch)
                 statuses |= {p.status for p in report.pairings}
         assert statuses == set(PairingStatus) - {PairingStatus.UnpairedExactRoot}
+
+    def test_matches_brute_force_on_synthetic_scans(self, params, monkeypatch):
+        # anchor 20 has two exact roots exactly 0.25 away, anchor 30 has none,
+        # and 35.5 lies in no neighborhood; no real beam gives the tie
+        truncated = np.array([4.0, 10.0, 20.0, 30.0])
+        exact = np.array([3.5, 10.125, 19.75, 20.25, 35.5, 38.6])
+
+        def synthetic(beam, step, jobs):
+            assert [target for target, _, _ in jobs] == [Target.Phi0, Target.Phi]
+            empty = np.empty(0)
+            return [((mu, mu, mu, mu, mu, mu), (empty, empty)) for mu in (truncated, exact)]
+
+        report = self._check_against_brute_force(params, 0.35, 5.0, 38.5, monkeypatch, synthetic)
+        assert [(p.exact_root, p.status) for p in report.pairings] == [
+            (10.125, PairingStatus.PairedUnique),
+            (19.75, PairingStatus.MultipleExactRoots),
+            (None, PairingStatus.NoExactRootInNeighborhood),
+        ]
+        assert report.stray_roots == (35.5,) and report.verdict is False
 
     def test_distances_shrink_with_mu(self, params):
         report = verify_localization(params, 0.45, 12.0, 38.5)
