@@ -28,6 +28,7 @@ from .roots import (
     ConfigurationError,
     LocalizationPreconditionError,
     Target,
+    _check_limit,
     _scan_jobs,
     closed_form_roots_half,
     pair_mutual_nearest,
@@ -246,8 +247,10 @@ def _text_column(values: np.ndarray) -> np.ndarray:
 
 def _resolve_window(config: RunConfig):
     """Return (mu_min, mu_max, exact_roots) honoring an n_roots request.
-    The scan itself rejects a bad window."""
+    A window that ends above the limit is rejected before its scan, any other
+    bad window by the scan itself."""
     if config.n_roots is None:
+        _check_limit(config.mu_max)
         exact = scan_roots(Target.Phi, config.params, config.mu_min, config.mu_max, config.scan_step)
         return config.mu_min, config.mu_max, exact
     if config.n_roots < 1:
@@ -255,6 +258,7 @@ def _resolve_window(config: RunConfig):
     gap = math.pi / config.params.length
     hi = config.mu_min + 1.1 * gap * (config.n_roots + 1)
     for _ in range(12):
+        _check_limit(hi)
         exact = scan_roots(Target.Phi, config.params, config.mu_min, hi, config.scan_step)
         if len(exact) >= config.n_roots:
             kept = exact[: config.n_roots]
@@ -272,6 +276,7 @@ def _resolve_window(config: RunConfig):
 def _scan_pair(config: RunConfig):
     """The mu lists (exact, truncated) over the resolved window, both refined in one batch without n_roots."""
     if config.n_roots is None:
+        _check_limit(config.mu_max)
         jobs = [(target, config.mu_min, config.mu_max) for target in (Target.Phi, Target.Phi0)]
         return [roots[0].tolist() for roots, _ in _scan_jobs(config.params, config.scan_step, jobs)]
     lo, hi, exact = _resolve_window(config)

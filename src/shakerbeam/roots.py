@@ -5,11 +5,10 @@ mu*, the edge (pi/4 + k pi)/l from which every half-period between two such
 edges provably holds exactly one root (``_certified``); above mu* the edges
 themselves are the brackets.  It refines the brackets of a scan, or of a pair
 of scans, in one lockstep safeguarded Brent batch, _BLOCK at a time: each
-round evaluates once, on an array of the brackets still open.  On a phi grid, phi1 is
-evaluated only where a phi0 screen cannot show that it leaves the scan
-unchanged.  Full half-periods refined by the last scan of a function above
-mu* are kept in a table by their number k and taken from it, not refined
-again, when the next scan of the same beam meets their end values again.
+round evaluates once, on an array of the brackets still open.  Full
+half-periods refined by the last scan of a function above mu* are kept in a
+table by their number k and taken from it, not refined again, when the next
+scan of the same beam meets their end values again.
 ``verify_localization`` checks the asymptotic pairing structure: above a
 threshold, every truncated root has exactly one exact root in its
 epsilon-neighborhood, its nearest, and the complement holds none.  It and
@@ -57,7 +56,6 @@ _MAX_DENOMINATOR = 10**6  # largest q detect_rational_ratio tries
 _BLOCK = 2**13  # grid points per scan block: fits the cache, amortizes numpy calls
 _MU_MIN = 1e-6  # window floor: below ~1e-77, mu**4 underflows and phi is NaN
 _MU_MAX = 1e6  # window limit, the range phi is tested on; scans may end 0.1% past it
-_SCREEN_SPAN = 64  # grid points that share one value of the phi1 envelope
 _MAX_POINTS = 2**32  # limit on the grid below mu*; above mu* there is none
 
 
@@ -94,7 +92,6 @@ class PairingStatus(enum.Enum):
     PairedUnique = "paired_unique"
     NoExactRootInNeighborhood = "no_exact_root_in_neighborhood"
     MultipleExactRoots = "multiple_exact_roots"
-    UnpairedExactRoot = "unpaired_exact_root"
 
 
 class RootPairing(NamedTuple):
@@ -129,41 +126,13 @@ class LocalizationReport:
 
 
 class _Phi:
-    """phi of one beam: called for refinement, and through grid() on a scan block."""
+    """phi of one beam."""
 
     def __init__(self, params: BeamParameters):
         self.params = params
 
     def __call__(self, mu):
         return phi(mu, self.params)
-
-    def grid(self, x):
-        """(values, full) for ascending grid points x: values[i] is phi(x[i]), or
-        phi0(x[i]) where the phi0 screen shows phi1 cannot change the scan there;
-        full(i) is phi(x[i]) for an index array i, bit for bit.
-
-        phi = phi0 + phi1 with |phi1| <= B (``_phi1_bound``).  phi1 is added only
-        where |phi0| <= (1 + 1e-9) B + 1e-9; elsewhere phi has the sign of phi0 and
-        |phi| > 1e-9, above _SUSPECT_LEVEL and _GRID_ZERO, so the skipped points
-        give the same signs, zeros and suspects.  B decreases in mu, so each span
-        of _SCREEN_SPAN points takes B at its left end.
-        """
-        p = self.params
-        s = np.sin(x * p.length)
-        values = _phi0(x, p.length, p.attachment_point, s)
-        bound = np.repeat(_phi1_bound(x[::_SCREEN_SPAN], p), _SCREEN_SPAN)[: x.size]
-        keep = np.abs(values) <= (1.0 + 1e-9) * bound + 1e-9
-        if 2 * np.count_nonzero(keep) > x.size:  # most points kept: no gather
-            values += _phi1(x, p, s)
-            return values, values.__getitem__
-        values[keep] += _phi1(x[keep], p, s[keep])
-
-        def full(i):
-            out, late = values[i], ~keep[i]
-            out[late] += _phi1(x[i[late]], p, s[i[late]])
-            return out
-
-        return values, full
 
 
 class _Phi0:
@@ -319,11 +288,10 @@ def _lanes_fn(fns: list) -> Callable:
     return pair
 
 
-def _reduce(x, values, full, own0: int, own1: int) -> tuple:
+def _reduce(x, values, own0: int, own1: int) -> tuple:
     """Reduce ascending points x with their values to arrays (a, fa, b, fb) of
     sign-changing brackets (x[i], x[i + 1]), (x, fx) of exact zeros and (x, fx) of
-    suspects, for the owned points own0 <= i < own1; full(i) gives the exact
-    value at an index array i where values may hold a screened one."""
+    suspects, for the owned points own0 <= i < own1."""
     absv = np.abs(values)
     zero = absv < _GRID_ZERO
     hits = np.flatnonzero(zero[own0:own1]) + own0
@@ -339,7 +307,7 @@ def _reduce(x, values, full, own0: int, own1: int) -> tuple:
         & (sign[k - 1] * sign[k + 1] > 0.0)
         & (absv[k] >= _GRID_ZERO)
     ]
-    return x[i], full(i), x[i + 1], full(i + 1), x[hits], values[hits], x[k], values[k]
+    return x[i], values[i], x[i + 1], values[i + 1], x[hits], values[hits], x[k], values[k]
 
 
 def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int, end: int) -> tuple:
@@ -351,13 +319,7 @@ def _reduce_block(f: Callable, mu_min: float, mu_max: float, n: int, i0: int, en
     x = np.arange(j0, j1, dtype=float) * ((mu_max - mu_min) / n) + mu_min
     if j1 == n + 1:
         x[-1] = mu_max
-    grid = getattr(f, "grid", None)
-    if grid is None:
-        values = np.asarray(f(x), dtype=float)
-        full = values.__getitem__
-    else:
-        values, full = grid(x)
-    return _reduce(x, values, full, i0 - j0, min(i0 + _BLOCK, end) - j0)
+    return _reduce(x, np.asarray(f(x), dtype=float), i0 - j0, min(i0 + _BLOCK, end) - j0)
 
 
 def _edge(k, l: float):
@@ -431,8 +393,7 @@ def _reduce_edges(f: Callable, g: float, mu_max: float, l: float) -> tuple:
     k = np.arange(math.floor(g * l / math.pi - 0.25), math.ceil(mu_max * l / math.pi - 0.25) + 1)
     edges = _edge(k, l)
     x = np.concatenate(([g], edges[(edges > g) & (edges < mu_max)], [mu_max]))
-    values = np.asarray(f(x), dtype=float)
-    return _reduce(x, values, values.__getitem__, 0, x.size)
+    return _reduce(x, np.asarray(f(x), dtype=float), 0, x.size)
 
 
 def _check_window(params: BeamParameters, mu_min: float, mu_max: float, step: float, top="mu_max") -> None:
@@ -455,6 +416,13 @@ def _check_window(params: BeamParameters, mu_min: float, mu_max: float, step: fl
     grid = (min(mu_max, _mu_star(params, mu_max)) - mu_min) / step  # none above mu* (``_grid_end``)
     if not (grid < _MAX_POINTS and (mu_max - mu_min) / step < math.inf):  # and n, the nominal count, is finite
         raise ConfigurationError(f"step {step:g} too fine: the grid would exceed {_MAX_POINTS} points")
+
+
+def _check_limit(mu_max: float) -> None:
+    """Raise ``ConfigurationError`` for a window that ends above _MU_MAX; only
+    verify's exact scan, to mu_max + epsilon, may pass it."""
+    if mu_max > _MU_MAX:
+        raise ConfigurationError(f"mu_max = {mu_max} is above the window limit {_MU_MAX:g}")
 
 
 def _scan_jobs(params: BeamParameters, step: float, jobs) -> list:
@@ -618,8 +586,7 @@ def verify_localization(
         raise LocalizationPreconditionError(f"epsilon must be finite, got {epsilon}")
     if not math.isfinite(threshold_M):
         raise ConfigurationError(f"threshold_M must be finite, got {threshold_M}")
-    if mu_max > _MU_MAX:
-        raise ConfigurationError(f"mu_max = {mu_max} is above the window limit {_MU_MAX:g}")
+    _check_limit(mu_max)
     rational = detect_rational_ratio(params.length, params.attachment_point)
     if threshold_M >= mu_max:
         return LocalizationReport(

@@ -386,6 +386,20 @@ class TestWindowLimit:
         err = capfd.readouterr().err
         assert "limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["roots", "growth", "modes"])
+    def test_window_ends_at_the_limit(self, command, tmp_path, capfd, monkeypatch):
+        # only verify's exact scan, to mu_max + epsilon, may end past 1e6
+        argv = ["--out", str(tmp_path), "--quiet", command, "--mu-min", "999990"]
+        assert main(argv + ["--mu-max", "1e6"]) == 0
+        monkeypatch.setattr(cli, "scan_roots", None)  # a scan would raise TypeError
+        monkeypatch.setattr(cli, "_scan_jobs", None)
+        assert main(argv + ["--mu-max", "1000500"]) == 1
+        assert "mu_max = 1000500.0 is above the window limit 1e+06" in capfd.readouterr().err
+        # five roots from 999990 need the window (999990, 1000000.88...]
+        assert main(argv + ["--n-roots", "5"]) == 1
+        err = capfd.readouterr().err
+        assert "is above the window limit 1e+06" in err and "Traceback" not in err
+
     def test_tiny_step_exits_1_at_once(self, tmp_path, capfd):
         # 1e-300 and 1e-12 give 3.8e301 and 3.8e13 grid points; above mu* there
         # is no grid, but 5e-324 overflows the window's nominal point count

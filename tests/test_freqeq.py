@@ -275,7 +275,7 @@ class TestFusedKernel:
 
 class TestPhi1Bound:
     """B(mu) = 5 e^{-2 mu d} + 4 rho/(m mu) + 4 kappa rho/(EI m mu^4) bounds
-    |phi1| for mu in [1e-6, 1e6]; the Phi scan skips phi1 where |phi0| > B.
+    |phi1| for mu in [1e-6, 1e6]; the scan certifies mu* with it.
     Rounding may put a computed |phi1| an ulp above B, hence the 1e-12."""
 
     @staticmethod

@@ -35,7 +35,6 @@ from shakerbeam import (
 import shakerbeam.cli
 import shakerbeam.roots
 import reference
-from shakerbeam.freqeq import _phi1, _phi1_bound
 from shakerbeam.roots import _mu_star, _refine_brackets, _scan
 from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, clear_half_period_table, default_step, seeded_beams
 from reference import _brent, pair_mutual_nearest_quadratic, scan_with_suspects_scalar
@@ -342,85 +341,20 @@ class TestBlockScan:
         assert callers == {threading.get_ident()}
         assert threading.active_count() == threads
 
+    def test_phi_grid_calls_phi(self, params, monkeypatch):
+        # the Phi grid goes through the module's phi, the name a tracer wraps
+        seen = []
 
-class TestPhiScreen:
-    """The Phi grid adds phi1 to phi0 only where |phi0| is within the phi1
-    envelope, and at the bracket ends the screen skipped: the scan must equal
-    the unscreened one bit for bit."""
+        def counting_phi(mu, p):
+            seen.append(np.array(mu, dtype=float).ravel())
+            return phi(mu, p)
 
-    WINDOWS = [
-        (1e-6, 0.5),
-        (0.1, 38.5),
-        (0.1, 1000.0),
-        (15.0, 1000.35),
-        (450.0, 500.0),
-        (9.99e4, 1e5),
-        (999000.0, 1000003.0),
-    ]
-
-    @staticmethod
-    def _beams(params, half_params):
-        beams = [params, half_params] + seeded_beams(20261024, 5)
-        for beam in (params, *seeded_beams(20261025, 1)):
-            beams += [dataclasses.replace(beam, attachment_point=r * beam.length) for r in (0.05, 0.95)]
-        return beams
-
-    @staticmethod
-    def _unscreened(monkeypatch):
-        target_fn = shakerbeam.roots._target_fn
-        monkeypatch.setattr(
-            shakerbeam.roots,
-            "_target_fn",
-            lambda target, p: (lambda mu: phi(mu, p)) if target is Target.Phi else target_fn(target, p),
-        )
-
-    def test_equals_unscreened_scan(self, params, half_params, monkeypatch):
-        cases = [
-            (beam, lo, hi)
-            for beam in self._beams(params, half_params)
-            for lo, hi in self.WINDOWS
-        ]
-        # above mu* the grid stops, so the high windows screen only on the whole grid
-        for grid_only in (False, True):
-            with monkeypatch.context() as m:
-                if grid_only:
-                    _grid_only(m)
-                screened = [
-                    scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) for beam, lo, hi in cases
-                ]
-                self._unscreened(m)
-                for (beam, lo, hi), want in zip(cases, screened):
-                    assert scan_with_suspects(Target.Phi, beam, lo, hi, default_step(beam)) == want
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
-    def test_skipped_bracket_ends_on_block_edges(self, params, monkeypatch, block):
-        # near mu = 1000 on the default beam B < 0.03, so one or both ends of
-        # most brackets lie outside the screen; small blocks put them on block
-        # edges.  The window lies above mu*, so it is gridded only when forced
-        _grid_only(monkeypatch)
-        args = (Target.Phi, params, 950.0, 1000.0, default_step(params))
-        x = np.linspace(950.0, 1000.0, int(math.ceil(50.0 / args[4])) + 1)
-        outside = np.abs(phi0(x, params.length, params.attachment_point)) > _phi1_bound(x, params)
-        f = phi(x, params)
-        i = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
-        assert np.any(outside[i] & outside[i + 1])
-        monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
-        screened = scan_with_suspects(*args)
-        self._unscreened(monkeypatch)
-        assert scan_with_suspects(*args) == screened
-
-    def test_phi1_on_few_grid_points(self, params, monkeypatch):
-        points = []
-
-        def counting_phi1(mu, p, s):
-            points.append(np.size(mu))
-            return _phi1(mu, p, s)
-
-        monkeypatch.setattr(shakerbeam.roots, "_phi1", counting_phi1)
-        _grid_only(monkeypatch)  # above mu* ~ 108 the scan has no grid to screen
+        monkeypatch.setattr(shakerbeam.roots, "phi", counting_phi)
         step = default_step(params)
-        scan_with_suspects(Target.Phi, params, 15.0, 1000.0, step)
-        assert 0 < sum(points) < 0.15 * (math.ceil(985.0 / step) + 1)
+        scan_with_suspects(Target.Phi, params, 0.1, 38.5, step)
+        grid = np.linspace(0.1, 38.5, math.ceil(38.4 / step) + 1)
+        assert grid.size == 1864
+        assert np.isin(grid, np.concatenate(seen)).all()
 
 
 def _grid_only(monkeypatch):
@@ -649,14 +583,14 @@ class TestHalfPeriodTable:
         calls.clear()
         assert _scan_bits(_scan(Target.Phi, nudged, 15.0, 1000.0, step)) == cold
         assert _lanes(calls) == cold_lanes
-        # a function that is not the package's own phi or phi0, here one that
-        # evaluates phi without the grid screen, is always refined in full
+        # a function that is not the package's own phi or phi0, here a
+        # wrapper of it, is always refined in full
         target_fn = shakerbeam.roots._target_fn
-        def unscreened(target, p):
+        def wrapped(target, p):
             f = target_fn(target, p)
             return lambda x: f(x)
 
-        monkeypatch.setattr(shakerbeam.roots, "_target_fn", unscreened)
+        monkeypatch.setattr(shakerbeam.roots, "_target_fn", wrapped)
         for beam in (params, params, nudged):
             calls.clear()
             _scan(Target.Phi, beam, 15.0, 1000.0, step)
@@ -1088,7 +1022,7 @@ class TestVerifyLocalization:
             for epsilon in (0.35, 0.6):
                 report = self._check_against_brute_force(beam, epsilon, 0.0, 38.5, monkeypatch)
                 statuses |= {p.status for p in report.pairings}
-        assert statuses == set(PairingStatus) - {PairingStatus.UnpairedExactRoot}
+        assert statuses == set(PairingStatus)
 
     def test_matches_brute_force_on_synthetic_scans(self, params, monkeypatch):
         # anchor 20 has two exact roots exactly 0.25 away, anchor 30 has none,
