@@ -29,7 +29,7 @@ from .roots import (
     LocalizationPreconditionError,
     Target,
     _check_limit,
-    _scan_jobs,
+    _scan,
     closed_form_roots_half,
     pair_mutual_nearest,
     scan_roots,
@@ -274,11 +274,11 @@ def _resolve_window(config: RunConfig):
 
 
 def _scan_pair(config: RunConfig):
-    """The mu lists (exact, truncated) over the resolved window, both refined in one batch without n_roots."""
+    """The mu lists (exact, truncated) over the resolved window."""
     if config.n_roots is None:
         _check_limit(config.mu_max)
-        jobs = [(target, config.mu_min, config.mu_max) for target in (Target.Phi, Target.Phi0)]
-        return [roots[0].tolist() for roots, _ in _scan_jobs(config.params, config.scan_step, jobs)]
+        window = (config.params, config.mu_min, config.mu_max, config.scan_step)
+        return [_scan(target, *window)[0][0].tolist() for target in (Target.Phi, Target.Phi0)]
     lo, hi, exact = _resolve_window(config)
     truncated = scan_roots(Target.Phi0, config.params, lo, hi, config.scan_step)
     return [r.mu for r in exact], [r.mu for r in truncated]

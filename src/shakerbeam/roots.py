@@ -1,14 +1,14 @@
 """Root location for the exact and truncated characteristic functions.
 
-``scan_roots`` brackets sign changes of phi or phi0 on a uniform grid up to
-mu*, the edge (pi/4 + k pi)/l from which every half-period between two such
-edges provably holds exactly one root (``_certified``); above mu* the edges
-themselves are the brackets.  It refines the brackets of a scan, or of a pair
-of scans, in one lockstep safeguarded Brent batch, _BLOCK at a time: each
-round evaluates once, on an array of the brackets still open.  Full
-half-periods refined by the last scan of a function above mu* are kept in a
-table by their number k and taken from it, not refined again, when the next
-scan of the same beam meets their end values again.
+``scan_roots`` brackets sign changes of phi on a uniform grid up to mu*, the
+edge (pi/4 + k pi)/l from which every half-period between two such edges
+provably holds exactly one root (``_certified``); above mu* the edges
+themselves are the brackets.  It refines the brackets in one lockstep
+safeguarded Brent batch, _BLOCK at a time: each round evaluates once, on an
+array of the brackets still open.  phi0 needs no grid: every half-period from
+k = 0 holds exactly one simple root of it and (0, mu_0] none, so its scan
+solves each half-period that meets the window by Newton from a closed-form
+start (``_phi0_roots``).  The module holds no state between calls.
 ``verify_localization`` checks the asymptotic pairing structure: above a
 threshold, every truncated root has exactly one exact root in its
 epsilon-neighborhood, its nearest, and the complement holds none.  It and
@@ -20,7 +20,6 @@ the attachment sits at midspan.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import BeamParameters
-from .freqeq import _phi0, _phi1, _phi1_bound, _phi1_prime_bound, phi, phi0, phi0_prime
+from .freqeq import _phi1_bound, _phi1_prime_bound, phi, phi0, phi0_prime
 
 __all__ = [
     "ConfigurationError",
@@ -57,6 +56,8 @@ _BLOCK = 2**13  # grid points per scan block: fits the cache, amortizes numpy ca
 _MU_MIN = 1e-6  # window floor: below ~1e-77, mu**4 underflows and phi is NaN
 _MU_MAX = 1e6  # window limit, the range phi is tested on; scans may end 0.1% past it
 _MAX_POINTS = 2**32  # limit on the grid below mu*; above mu* there is none
+_NEWTON_STEPS = 8  # phi0 lanes take at most 5 from ``_phi0_start`` on beams with l0/l in [0.01, 0.99]
+_EPS = float(np.finfo(float).eps)
 
 
 class ConfigurationError(ValueError):
@@ -75,9 +76,9 @@ class Target(enum.Enum):
 class Root(NamedTuple):
     """A refined zero of a characteristic function.
 
-    degenerate marks grid points where |f| < 1e-13 without a usable sign
-    change (the bracket collapses to the point itself).  A tuple: equal to
-    any tuple of the same fields.
+    degenerate marks grid points, or window ends for phi0, where |f| < 1e-13
+    without a usable sign change (the bracket collapses to the point itself).
+    A tuple: equal to any tuple of the same fields.
     """
 
     mu: float
@@ -125,36 +126,11 @@ class LocalizationReport:
     rational_ratio: Optional[tuple] = None
 
 
-class _Phi:
-    """phi of one beam."""
-
-    def __init__(self, params: BeamParameters):
-        self.params = params
-
-    def __call__(self, mu):
-        return phi(mu, self.params)
-
-
-class _Phi0:
-    """phi0 of one beam."""
-
-    def __init__(self, params: BeamParameters):
-        self.params = params
-
-    def __call__(self, mu):
-        return phi0(mu, self.params.length, self.params.attachment_point)
-
-
 def _target_fn(target: Target, params: BeamParameters) -> Callable:
-    return _Phi(params) if target is Target.Phi else _Phi0(params)
-
-
-# function class -> None, or (params, k0, ends, columns) of the full
-# half-periods (mu_k, mu_{k+1}), k0 <= k < k0 + n, that its last scan above mu*
-# refined: ends the n + 1 values at their edges mu_k0 .. mu_{k0+n}, and columns
-# the five ``_refine_brackets`` arrays.  An entry is replaced whole, so a
-# concurrent scan reads either the old table or the new one.
-_HALF_PERIODS: dict = {_Phi: None, _Phi0: None}
+    """The target's function of mu on one beam, calling phi or phi0 by the name a tracer wraps."""
+    if target is Target.Phi:
+        return lambda mu: phi(mu, params)
+    return lambda mu: phi0(mu, params.length, params.attachment_point)
 
 
 def _min(x, y):
@@ -167,13 +143,12 @@ def _max(x, y):
     return np.where(y > x, y, x)
 
 
-def _refine_brackets(f: Callable, a, fa, b, fb, lanes=None):
+def _refine_brackets(f: Callable, a, fa, b, fb):
     """Safeguarded Brent on every bracket [a_i, b_i] at once, in lockstep.
 
     Each lane takes bisection fallback, inverse-quadratic or secant steps until
     its bracket is below _BRACKET_TOL (at most 200 steps), then up to three
-    secant polish steps; each round calls f once on the lanes still active,
-    as f(x), or as f(x, lanes[active]) when lanes tags them (``_lanes_fn``).
+    secant polish steps; each round calls f once on the lanes still active.
     Lanes never mix, and each does exactly the scalar Brent arithmetic (kept
     as the test reference), so the results do not depend on the batch.
 
@@ -194,7 +169,7 @@ def _refine_brackets(f: Callable, a, fa, b, fb, lanes=None):
             swap = active & (np.abs(fc) < np.abs(fb))
             a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
             fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
-            tol = 0.5 * _BRACKET_TOL + 2.0 * np.finfo(float).eps * np.abs(b)
+            tol = 0.5 * _BRACKET_TOL + 2.0 * _EPS * np.abs(b)
             m = 0.5 * (c - b)
             active &= (np.abs(m) > tol) & (fb != 0.0)
             if not active.any():
@@ -217,7 +192,7 @@ def _refine_brackets(f: Callable, a, fa, b, fb, lanes=None):
             a, fa = b, fb
             b = np.where(active, b + np.where(np.abs(d) > tol, d, np.copysign(tol, m)), b)
             fb = fb.copy()  # fa shares the old array
-            fb[active] = f(b[active]) if lanes is None else f(b[active], lanes[active])
+            fb[active] = f(b[active])
             better = active & (np.abs(fb) < np.abs(best_f))
             best_x, best_f = np.where(better, b, best_x), np.where(better, fb, best_f)
             flip = active & ((fb > 0.0) == (fc > 0.0))
@@ -234,7 +209,7 @@ def _refine_brackets(f: Callable, a, fa, b, fb, lanes=None):
             if not active.any():
                 break
             fx = np.zeros(a.shape)
-            fx[active] = f(x[active]) if lanes is None else f(x[active], lanes[active])
+            fx[active] = f(x[active])
             iterations += active
             better = active & (np.abs(fx) < np.abs(best_f))
             best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
@@ -248,44 +223,6 @@ def _refine_brackets(f: Callable, a, fa, b, fb, lanes=None):
     lo = np.nextafter(_min(lo, best_x), -math.inf)
     hi = np.nextafter(_max(hi, best_x), math.inf)
     return best_x, best_f, iterations, lo, hi
-
-
-def _lookup(f: Callable, a, fa, b, fb) -> tuple:
-    """(full, first, lane, stored) for the ascending brackets of a scan of f
-    above mu*: which brackets are full half-periods (mu_k, mu_{k+1}), with k =
-    rint(a l/pi - 1/4), [k] of the first ([] if none), the lanes left to refine
-    (slice(None) without a table), and the columns that the table of f's class
-    holds for the others.  A lane is taken only when the table holds f's beam
-    and its half-period k, with fa and fb bitwise the stored end values; its
-    refinement depends on nothing else, so it is a cold one, bit for bit."""
-    l = f.params.length
-    k = np.rint(a * l / math.pi - 0.25).astype(int)
-    full = (_edge(k, l) == a) & (_edge(k + 1, l) == b)
-    first = k[full][:1].tolist()  # not k itself: it would be held through the batch
-    table = _HALF_PERIODS[type(f)]
-    if table is None or table[0] != f.params:
-        return full, first, slice(None), ()
-    _, k0, ends, cached = table
-    j = np.clip(k - k0, 0, ends.size - 2)
-    ends = ends.view(np.int64)
-    same = full & (j == k - k0) & (ends[j] == fa.view(np.int64)) & (ends[j + 1] == fb.view(np.int64))
-    return full, first, ~same, tuple(column[j[same]] for column in cached)
-
-
-def _lanes_fn(fns: list) -> Callable:
-    """f(x, job) for a batch whose lane i refines fns[job[i]], each a ``_Phi``
-    or ``_Phi0`` of one beam: s = sin(mu l) and phi0 on every lane, plus phi1
-    on the phi lanes only, bit for bit as ``phi`` and ``phi0`` give them."""
-    p = fns[0].params
-    exact = np.array([type(fn) is _Phi for fn in fns])
-
-    def pair(x, job):
-        s = np.sin(x * p.length)
-        out, on = _phi0(x, p.length, p.attachment_point, s), exact[job]
-        out[on] += _phi1(x[on], p, s[on])
-        return out
-
-    return pair
 
 
 def _reduce(x, values, own0: int, own1: int) -> tuple:
@@ -329,7 +266,7 @@ def _edge(k, l: float):
 
 def _certified(k: int, params: BeamParameters) -> bool:
     """Whether every half-period (mu_j, mu_{j+1}) with j >= k holds exactly one
-    root of phi, and of phi0.
+    root of phi (for phi0 see ``_phi0_roots``).
 
     phi0(mu) = cos(delta mu) - sqrt 2 sin(l mu + pi/4) with delta = l - 2 l0,
     and |phi - phi0| = |phi1| <= B (``_phi1_bound``), |phi1'| <= B'
@@ -344,7 +281,6 @@ def _certified(k: int, params: BeamParameters) -> bool:
       + phi1' is nonzero with the sign of -cos(l mu + pi/4), fixed on the
       half-period.  Every zero there is simple and crosses the same way, so
       there is exactly one.
-    The same holds for phi0, with phi1 = 0.
     """
     l, l0 = params.length, params.attachment_point
     mu = _edge(k, l)
@@ -354,12 +290,10 @@ def _certified(k: int, params: BeamParameters) -> bool:
     return l * math.sqrt(2.0 - (1.0 + b) ** 2) - abs(l - 2.0 * l0) > _phi1_prime_bound(mu, params)
 
 
-@functools.lru_cache(maxsize=16)
 def _mu_star(params: BeamParameters, mu_max: float) -> float:
     """mu*, the least edge mu_k from which ``_certified`` holds, or inf if it does
     not hold at the last edge below mu_max.  The test is monotone in k, so one
-    scalar test decides windows below mu* and a bisection finds mu* otherwise.
-    Cached: a caller scans the same beam and window once per target."""
+    scalar test decides windows below mu* and a bisection finds mu* otherwise."""
     l = params.length
     top = math.ceil(mu_max * l / math.pi - 0.25) - 1  # the last edge below mu_max
     if top < 0 or not _certified(top, params):
@@ -396,9 +330,9 @@ def _reduce_edges(f: Callable, g: float, mu_max: float, l: float) -> tuple:
     return _reduce(x, np.asarray(f(x), dtype=float), 0, x.size)
 
 
-def _check_window(params: BeamParameters, mu_min: float, mu_max: float, step: float, top="mu_max") -> None:
+def _check_window(params: BeamParameters, mu_min: float, mu_max: float, step: float, top="mu_max") -> float:
     """Raise ``ConfigurationError`` for an invalid scan window or step; top is
-    the name the window-limit message gives mu_max."""
+    the name the window-limit message gives mu_max.  Returns mu* (``_mu_star``)."""
     if not (_MU_MIN <= mu_min < mu_max):
         raise ConfigurationError(f"window needs {_MU_MIN:g} <= mu_min < mu_max, got ({mu_min}, {mu_max})")
     if step <= 0.0:
@@ -413,9 +347,11 @@ def _check_window(params: BeamParameters, mu_min: float, mu_max: float, step: fl
         )
     if mu_max > 1.001 * _MU_MAX:
         raise ConfigurationError(f"{top} = {mu_max} is above the window limit {_MU_MAX:g}")
-    grid = (min(mu_max, _mu_star(params, mu_max)) - mu_min) / step  # none above mu* (``_grid_end``)
+    mu_star = _mu_star(params, mu_max)
+    grid = (min(mu_max, mu_star) - mu_min) / step  # none above mu* (``_grid_end``)
     if not (grid < _MAX_POINTS and (mu_max - mu_min) / step < math.inf):  # and n, the nominal count, is finite
         raise ConfigurationError(f"step {step:g} too fine: the grid would exceed {_MAX_POINTS} points")
+    return mu_star
 
 
 def _check_limit(mu_max: float) -> None:
@@ -425,67 +361,110 @@ def _check_limit(mu_max: float) -> None:
         raise ConfigurationError(f"mu_max = {mu_max} is above the window limit {_MU_MAX:g}")
 
 
-def _scan_jobs(params: BeamParameters, step: float, jobs) -> list:
-    """``_scan`` of each (target, mu_min, mu_max) job on one beam and step: each
-    job's brackets and table hits (``_lookup``, by half-period k) are those of
-    its own scan, and one Brent batch refines the lanes left of every job,
-    _BLOCK at a time.  Lanes never mix, so the columns are bit for bit those of
-    separate scans.  No grid point lies above mu*, whatever the step."""
-    fns = [_target_fn(target, params) for target, _, _ in jobs]
-    found, looked = [], []
-    for f, (_, mu_min, mu_max) in zip(fns, jobs):
-        _check_window(params, mu_min, mu_max, step)
-        n = int(math.ceil((mu_max - mu_min) / step))
-        end = _grid_end(mu_min, mu_max, n, _mu_star(params, mu_max))
-        blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
-        parts = [block for block in blocks if any(part.size for part in block)]
-        if end <= n:
-            g = end * ((mu_max - mu_min) / n) + mu_min
-            parts.append(_reduce_edges(f, g, mu_max, params.length))
-        found.append([np.concatenate(column) for column in zip(*parts or [(np.empty(0),) * 8])])
-        above = end <= n and type(f) in _HALF_PERIODS
-        looked.append(_lookup(f, *found[-1][:4]) if above else (None, None, slice(None), ()))
-    pending = [[column[lane] for column in c[:4]] for c, (_, _, lane, _) in zip(found, looked)]
-    counts = [a.size for a, *_ in pending]
-    batch = [np.concatenate(column) if len(column) > 1 else column[0] for column in zip(*pending)]
-    f, job = (fns[0], None) if len(fns) == 1 else (_lanes_fn(fns), np.repeat(np.arange(len(fns)), counts))
-    solved = None
-    for i in range(0, batch[0].size or 1, _BLOCK):
-        tags = None if job is None else job[i : i + _BLOCK]
-        part = _refine_brackets(f, *(column[i : i + _BLOCK] for column in batch), tags)
-        solved = solved or [np.empty(batch[0].size, dtype=column.dtype) for column in part]
-        for out, column in zip(solved, part):
-            out[i : i + _BLOCK] = column
-    del pending, batch, job, tags, part  # before the result columns are built; tags views job
-    split = zip(*(np.split(column, np.cumsum(counts)[:-1]) for column in solved))
-    results = []
-    for f, columns, (full, first, lane, stored), refined in zip(fns, found, looked, split):
-        a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = columns
-        if stored:  # the lanes taken from the table go back in their places
-            left, refined = refined, [np.empty(a.size, dtype=column.dtype) for column in refined]
-            for out, column, stored_column in zip(refined, left, stored):
-                out[lane], out[~lane] = column, stored_column
-        if full is not None:  # the full half-periods replace the table, or empty it if more than _BLOCK
-            i, entry = np.flatnonzero(full), None  # consecutive in k: above mu* each half-period is a bracket
-            if 0 < i.size <= _BLOCK:
-                entry = (params, first[0], np.append(fa[i], fb[i[-1]]), tuple(c[i] for c in refined))
-            _HALF_PERIODS[type(f)] = entry
-        x, fx, iterations, lo, hi = refined
-        # refinements that miss the residual contract are not roots
-        met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
-        # grid points that are numerically exact zeros are degenerate brackets (x, x)
-        hits = (hit_x, hit_f, hit_x, hit_x, np.zeros(hit_x.size, dtype=int), np.ones(hit_x.size, dtype=bool))
-        tails = (x, fx, lo, hi, iterations, np.zeros(x.size, dtype=bool))
-        columns = [np.concatenate((hit, column[met])) for hit, column in zip(hits, tails)]
-        order = np.argsort(columns[0], kind="stable")
-        results.append((tuple(column[order] for column in columns), (sus_x, sus_f)))
-    return results
-
-
-def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, step: float) -> tuple:
+def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, step: float, top="mu_max") -> tuple:
     """``scan_with_suspects`` as arrays: ((mu, residual, lo, hi, iterations,
-    degenerate) of the roots in ascending mu, (x, fx) of the suspects)."""
-    return _scan_jobs(params, step, [(target, mu_min, mu_max)])[0]
+    degenerate) of the roots in ascending mu, (x, fx) of the suspects); top
+    names mu_max in the window-limit message.  No grid point lies above mu*."""
+    mu_star = _check_window(params, mu_min, mu_max, step, top)
+    if target is Target.Phi0:
+        return _phi0_roots(params, mu_min, mu_max), (np.empty(0), np.empty(0))
+    f = _target_fn(target, params)
+    n = int(math.ceil((mu_max - mu_min) / step))
+    end = _grid_end(mu_min, mu_max, n, mu_star)
+    blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
+    parts = [block for block in blocks if any(part.size for part in block)]
+    if end <= n:
+        g = end * ((mu_max - mu_min) / n) + mu_min
+        parts.append(_reduce_edges(f, g, mu_max, params.length))
+    a, fa, b, fb, hit_x, hit_f, sus_x, sus_f = (np.concatenate(c) for c in zip(*parts or [(np.empty(0),) * 8]))
+    refined = [np.empty(a.size, dtype=dtype) for dtype in (float, float, int, float, float)]
+    for i in range(0, a.size, _BLOCK):
+        for out, column in zip(refined, _refine_brackets(f, *(c[i : i + _BLOCK] for c in (a, fa, b, fb)))):
+            out[i : i + _BLOCK] = column
+    met = np.abs(refined[1]) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
+    return _roots(hit_x, hit_f, refined, met), (sus_x, sus_f)
+
+
+def _roots(hit_x, hit_f, refined, keep) -> tuple:
+    """The root columns (mu, residual, lo, hi, iterations, degenerate) in ascending mu: the
+    zeros hit_x as degenerate brackets (x, x), and the refined (x, fx, iterations, lo, hi) lanes kept."""
+    x, fx, iterations, lo, hi = (column[keep] for column in refined)
+    hits = (hit_x, hit_f, hit_x, hit_x, np.zeros(hit_x.size, dtype=int), np.ones(hit_x.size, dtype=bool))
+    tails = (x, fx, lo, hi, iterations, np.zeros(x.size, dtype=bool))
+    columns = [np.concatenate(pair) for pair in zip(hits, tails)]
+    order = np.argsort(columns[0], kind="stable")
+    return tuple(column[order] for column in columns)
+
+
+def _phi0_start(k, l: float, l0: float):
+    """Newton's start in half-period k: phi0 = 0 solved as sin(l (mu - m)) = (-1)^(k+1) cos(delta mu)/sqrt 2
+    with cos(delta mu) taken at the midpoint m = (k + 3/4) pi/l, so the root itself when delta = 0."""
+    m = (k + 0.75) * (math.pi / l)
+    return m - (1.0 - 2.0 * (k & 1)) * np.arcsin(np.cos((l - 2.0 * l0) * m) / math.sqrt(2.0)) / l
+
+
+def _phi0_roots(params: BeamParameters, mu_min: float, mu_max: float) -> tuple:
+    """The root columns of phi0 in the window, as ``_scan`` gives them.
+
+    ``_certified``'s argument with phi1 = 0 (B = B' = 0) needs only l > |delta|,
+    which 0 < l0 < l gives, so from k = 0 every half-period (mu_k, mu_{k+1})
+    holds exactly one root of phi0, a simple one.  On (0, mu_0],
+    sqrt 2 sin(l mu + pi/4) > 1 >= cos(delta mu): phi0 < 0, no root.  Newton
+    solves each half-period that meets the window, _BLOCK at a time
+    (``_phi0_block``).  The roots strictly inside the window are kept; an end
+    of the window where |phi0| < _GRID_ZERO is a degenerate root in place of
+    its half-period's.
+    """
+    l, l0 = params.length, params.attachment_point
+    # an edge that rounding misplaces only adds or drops a half-period whose root lies far outside the window
+    k0 = max(math.floor(mu_min * l / math.pi - 0.25), 0)
+    k = np.arange(k0, math.floor(mu_max * l / math.pi - 0.25) + 1)
+    *refined, met = [np.empty(k.size, dtype=dtype) for dtype in (float, float, int, float, float, bool)]
+    for i in range(0, k.size, _BLOCK):
+        for out, column in zip((*refined, met), _phi0_block(k[i : i + _BLOCK], l, l0)):
+            out[i : i + _BLOCK] = column
+    keep = met & (refined[0] > mu_min) & (refined[0] < mu_max)
+    window = np.array([mu_min, mu_max])
+    values = phi0(window, l, l0)
+    hit = np.abs(values) < _GRID_ZERO
+    keep &= ~np.isin(k, np.floor(window[hit] * l / math.pi - 0.25))  # a hit replaces its half-period's root
+    return _roots(window[hit], values[hit], refined, keep)
+
+
+def _phi0_block(k, l: float, l0: float) -> tuple:
+    """(x, phi0(x), iterations, lo, hi, met) of the root in each half-period k: Newton
+    steps until one is below the Brent tolerance tol, then x with the bracket x -/+ tol.
+    A lane that leaves its half-period, takes more than _NEWTON_STEPS steps, or whose
+    bracket ends do not differ in sign is refined by ``_refine_brackets`` on the whole
+    half-period instead.  iterations counts phi0 evaluations: the steps and three more
+    (Brent's count on such a lane).  met is the residual contract against phi0 at the edges."""
+    edges = _edge(np.arange(k[0], k[-1] + 2), l)
+    ends = phi0(edges, l, l0)
+    a, b, x = edges[:-1], edges[1:], np.full(k.size, math.nan)  # x stays NaN on a lane that fails
+    steps = np.zeros(k.size, dtype=int)
+    lane, y = np.arange(k.size), _phi0_start(k, l, l0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            dy = phi0(y, l, l0) / phi0_prime(y, l, l0)
+            steps[lane] += 1
+            y = y - dy
+            inside = (a[lane] < y) & (y < b[lane])
+            done = inside & (np.abs(dy) <= 0.5 * _BRACKET_TOL + _EPS * np.abs(y))
+            x[lane[done]] = y[done]
+            lane, y = lane[inside & ~done], y[inside & ~done]
+            if not lane.size:
+                break
+    tol = 0.5 * _BRACKET_TOL + _EPS * np.abs(x)
+    lo, hi = x - tol, x + tol
+    fx, f_lo, f_hi = np.split(phi0(np.concatenate((x, lo, hi)), l, l0), 3)
+    columns = [x, fx, steps + 3, lo, hi]
+    bad = np.flatnonzero(~(np.sign(f_lo) * np.sign(f_hi) < 0.0))
+    if bad.size:
+        fallback = _refine_brackets(lambda mu: phi0(mu, l, l0), a[bad], ends[bad], b[bad], ends[bad + 1])
+        for column, fixed in zip(columns, fallback):
+            column[bad] = fixed
+    met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(ends[:-1]), np.abs(ends[1:])))
+    return (*columns, met)
 
 
 def scan_with_suspects(
@@ -497,24 +476,22 @@ def scan_with_suspects(
 ) -> tuple:
     """Scan a window; return (roots, suspects).
 
-    The grid is np.linspace(mu_min, mu_max, n + 1) up to its first point at
-    or above mu* (``_mu_star``; all of it if mu* lies above the window), walked
-    in blocks: memory is O(block + roots).  Above that point the brackets are
-    the edges (pi/4 + k pi)/l, each half-period holding exactly one root, and
-    the two partial half-periods at the ends hold one exactly when their end
-    values differ in sign.  Roots below mu* are those of the whole grid, bit
-    for bit.  Suspects are grid local minima of |f| below 1e-10 without a sign
-    change -- near-tangent configurations that must not be silently promoted
-    to roots.  Above mu* there are none, nor exact zeros at grid points: there
-    is no grid there, and |phi'| > 0 wherever |phi0| <= B, so every zero of phi
-    there is a simple crossing.  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
+    For Phi the grid is np.linspace(mu_min, mu_max, n + 1) up to its first
+    point at or above mu* (``_mu_star``; all of it if mu* lies above the
+    window), walked in blocks: memory is O(block + roots).  Above that point
+    the brackets are the edges (pi/4 + k pi)/l, each half-period holding
+    exactly one root, and the two partial half-periods at the ends hold one
+    exactly when their end values differ in sign.  Roots below mu* are those
+    of the whole grid, bit for bit.  Suspects are grid local minima of |f|
+    below 1e-10 without a sign change -- near-tangent configurations that must
+    not be silently promoted to roots.  Above mu* there are none, nor exact
+    zeros at grid points: |phi'| > 0 wherever |phi0| <= B.
 
-    Each full half-period's refinement depends only on the beam, the target
-    and its edges, so a scan above mu* keeps its full half-periods (at most
-    _BLOCK) in a per-target table by number k, and the next scan of the same
-    beam takes each one with the same k and end values from there (``_lookup``);
-    the roots are bit for bit those of a cold scan.  Grid brackets and the two
-    partial half-periods are always refined.  Roots are ``Root`` tuples.
+    Phi0 has no grid: Newton solves each half-period (``_phi0_roots``), within
+    _BRACKET_TOL of a grid scan's roots.  Its iterations count phi0
+    evaluations, it has no suspects, and its only degenerate roots are window
+    ends where |phi0| < 1e-13.  Both targets check the step.  The window lies
+    in [_MU_MIN, 1.001 * _MU_MAX].  Roots are ``Root`` tuples.
     """
     roots, suspects = _scan(target, params, mu_min, mu_max, step)
     mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)
@@ -573,11 +550,10 @@ def verify_localization(
     The report's min_abs_phi0_complement is sampled on 4,001 points, an upper
     bound on the true minimum (see ``LocalizationReport``).
 
-    It scans Phi0 over (threshold_M, mu_max] and Phi to mu_max + epsilon
-    itself, in one Brent batch (``_scan_jobs``); above mu* those scans take
-    the full half-periods that the caller's last scans of the beam refined
-    from the table (see ``scan_with_suspects``).  A violated epsilon
-    precondition wins over an invalid exact window.  The pairings are
+    It scans Phi0 over (threshold_M, mu_max] itself and checks the epsilon
+    precondition on those anchors before it checks the exact window, to
+    mu_max + epsilon, and scans Phi there: a violated precondition wins over
+    an invalid exact window and costs no exact scan.  The pairings are
     ``RootPairing`` tuples.
     """
     if epsilon <= 0.0:
@@ -604,13 +580,8 @@ def verify_localization(
     if step is None:
         step = math.pi / (80.0 * params.length)
     lo = max(threshold_M, _MU_MIN)
-    jobs, late = [(Target.Phi0, lo, mu_max), (Target.Phi, lo, mu_max + epsilon)], None
-    try:  # an exact window that fails raises after the precondition, as on its own scan
-        _check_window(params, lo, mu_max + epsilon, step, "mu_max + epsilon")
-    except ConfigurationError as exc:
-        jobs, late = jobs[:1], exc
-    found = [roots[0] for roots, _ in _scan_jobs(params, step, jobs)]  # the mu columns
-    anchors = found[0][found[0] > threshold_M]
+    anchors = _scan(Target.Phi0, params, lo, mu_max, step)[0][0]  # the mu column
+    anchors = anchors[anchors > threshold_M]
     gaps = np.diff(anchors)
     if gaps.size and epsilon >= 0.5 * gaps.min():
         i = int(np.argmin(gaps))
@@ -619,9 +590,8 @@ def verify_localization(
             f" {gaps[i]:.6g} (between {anchors[i]:.6g} and {anchors[i + 1]:.6g}):"
             " neighborhoods would overlap"
         )
-    if late is not None:
-        raise late
-    exact = found[1][found[1] > threshold_M]
+    exact = _scan(Target.Phi, params, lo, mu_max + epsilon, step, "mu_max + epsilon")[0][0]
+    exact = exact[exact > threshold_M]
 
     owner = _owner(exact, anchors, epsilon)
     counts = np.bincount(owner[owner >= 0], minlength=anchors.size)
@@ -674,8 +644,11 @@ def _nearest_index(x: np.ndarray, pool: np.ndarray) -> np.ndarray:
     right = np.abs(pool[np.minimum(k, pool.size - 1)] - x)
     lower = np.flatnonzero((k == pool.size) | ((k > 0) & (np.abs(pool[k - 1] - x) <= right)))
     k[lower] -= 1
-    # rounding can give several values the same distance: take the first
-    while lower.size:
+    # rounding or repeats can give several values the same distance: take the first.  Values
+    # pool[i - 1] <= pool[i] < x tie only if pool[i] - pool[i - 1] <= eps (|x| + |pool[i - 1]|)
+    gap = (pool[1:] - pool[:-1]).min() if pool.size > 1 else math.inf
+    tie = lower.size and not gap > 2.0 * _EPS * (np.abs(x).max() + max(-pool[0], pool[-1]))  # NaN walks
+    while tie and lower.size:
         i = k[lower]
         lower = lower[(i > 0) & (np.abs(pool[i - 1] - x[lower]) == np.abs(pool[i] - x[lower]))]
         k[lower] -= 1

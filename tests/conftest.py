@@ -3,21 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import shakerbeam.roots
 from shakerbeam import BeamParameters, Target, scan_roots
-
-
-def clear_half_period_table() -> None:
-    """Empty the table of refined half-periods of every target."""
-    shakerbeam.roots._HALF_PERIODS.update(dict.fromkeys(shakerbeam.roots._HALF_PERIODS))
-
-
-@pytest.fixture(autouse=True)
-def cold_roots_caches():
-    """Start every test with no half-period table and no cached mu*, so that
-    no test's scans depend on which tests ran before it."""
-    clear_half_period_table()
-    shakerbeam.roots._mu_star.cache_clear()
 
 
 @pytest.fixture(scope="session")

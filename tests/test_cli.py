@@ -392,7 +392,7 @@ class TestWindowLimit:
         argv = ["--out", str(tmp_path), "--quiet", command, "--mu-min", "999990"]
         assert main(argv + ["--mu-max", "1e6"]) == 0
         monkeypatch.setattr(cli, "scan_roots", None)  # a scan would raise TypeError
-        monkeypatch.setattr(cli, "_scan_jobs", None)
+        monkeypatch.setattr(cli, "_scan", None)
         assert main(argv + ["--mu-max", "1000500"]) == 1
         assert "mu_max = 1000500.0 is above the window limit 1e+06" in capfd.readouterr().err
         # five roots from 999990 need the window (999990, 1000000.88...]
@@ -626,7 +626,7 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 # sha256 and exit code of every artifact of both shipped configs, recorded with
 # the value-by-value writer that the column writer replaced; "_1e5" runs add
 # --mu-max 1e5, so their CSVs span many chunks; "verify15_1e4" reaches far
-# above mu*, where the half-period table and the fused Phi/Phi0 batch act
+# above mu*, where Phi is bracketed by the half-period edges
 GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_artifacts.json").read_text())
 GOLDEN_ARGS = {
     "roots": ["roots"],

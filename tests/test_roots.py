@@ -35,8 +35,8 @@ from shakerbeam import (
 import shakerbeam.cli
 import shakerbeam.roots
 import reference
-from shakerbeam.roots import _mu_star, _refine_brackets, _scan
-from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, clear_half_period_table, default_step, seeded_beams
+from shakerbeam.roots import _BRACKET_TOL, _edge, _mu_star, _refine_brackets, _scan
+from conftest import EXACT_ROOTS_REF, TRUNCATED_ROOTS_REF, default_step, seeded_beams
 from reference import _brent, pair_mutual_nearest_quadratic, scan_with_suspects_scalar
 
 
@@ -58,12 +58,14 @@ class TestScan:
             assert all(r.target is target for r in roots)
             assert not any(r.degenerate for r in roots)
 
-    def test_bracket_contains_root_with_sign_change(self, params, exact_roots):
-        for root in exact_roots:
-            lo, hi = root.bracket
-            assert lo < root.mu < hi
-            assert hi - lo <= 1e-9
-            assert phi(lo, params) * phi(hi, params) <= 0.0
+    def test_bracket_contains_root_with_sign_change(self, params, exact_roots, truncated_roots):
+        truncated = lambda mu: phi0(mu, params.length, params.attachment_point)
+        for roots, f in ((exact_roots, lambda mu: phi(mu, params)), (truncated_roots, truncated)):
+            for root in roots:
+                lo, hi = root.bracket
+                assert lo < root.mu < hi
+                assert hi - lo <= 1e-9
+                assert f(lo) * f(hi) <= 0.0
 
     def test_residual_bound(self, exact_roots):
         assert all(abs(r.residual) <= 1e-8 for r in exact_roots)
@@ -107,11 +109,11 @@ class TestScan:
         assert suspects == []
 
     def test_grid_zero_flagged_degenerate(self, half_params):
-        # 2 pi / l lies on this grid and phi0 there evaluates below the
-        # grid-zero threshold: reported as a degenerate (zero-width) bracket
+        # 2 pi / l lies on this grid and phi there evaluates below the
+        # grid-zero threshold (-7.0e-15): reported as a degenerate (zero-width) bracket
         l = half_params.length
         step = math.pi / (8.0 * l)
-        roots = scan_roots(Target.Phi0, half_params, step, 4.0 * math.pi / l, step)
+        roots = scan_roots(Target.Phi, half_params, step, 4.0 * math.pi / l, step)
         degenerate = [r for r in roots if r.degenerate]
         assert degenerate
         assert any(abs(r.mu - 2.0 * math.pi / l) < 1e-12 for r in degenerate)
@@ -165,19 +167,23 @@ class TestBatchedRefinement:
     """The lockstep refinement against the scalar Brent it replaced."""
 
     def test_scan_equals_scalar_reference(self, half_params):
-        # the same arithmetic per bracket: equal Root tuples and suspects, not
-        # just close ones
+        # Phi: the same arithmetic per bracket, so equal Root tuples and
+        # suspects, not just close ones.  Phi0 (Newton, no grid): the same
+        # count, roots within the Brent tolerance and no suspects
         windows = [(0.1, 38.5), (0.1, 1000.0), (15.0, 1000.35), (450.0, 500.0)]
         for beam in seeded_beams(20261018, 20):
             step = default_step(beam)
-            for target in Target:
-                for lo, hi in windows:
-                    assert scan_with_suspects(target, beam, lo, hi, step) == (
-                        scan_with_suspects_scalar(target, beam, lo, hi, step)
-                    )
-        # midspan phi0 with 2 pi / l on the grid: a degenerate hit to dedup
+            for lo, hi in windows:
+                assert scan_with_suspects(Target.Phi, beam, lo, hi, step) == (
+                    scan_with_suspects_scalar(Target.Phi, beam, lo, hi, step)
+                )
+                roots, suspects = scan_with_suspects(Target.Phi0, beam, lo, hi, step)
+                want, _ = scan_with_suspects_scalar(Target.Phi0, beam, lo, hi, step)
+                assert len(roots) == len(want) and suspects == []
+                assert max((abs(r.mu - w.mu) for r, w in zip(roots, want)), default=0.0) <= _BRACKET_TOL
+        # midspan phi with 2 pi / l on the grid: a degenerate hit to dedup
         step = math.pi / (8.0 * half_params.length)
-        args = (Target.Phi0, half_params, step, 32.0 * step, step)
+        args = (Target.Phi, half_params, step, 32.0 * step, step)
         roots, suspects = scan_with_suspects(*args)
         assert any(r.degenerate for r in roots)
         assert (roots, suspects) == scan_with_suspects_scalar(*args)
@@ -233,7 +239,7 @@ class TestBlockScan:
     @staticmethod
     def _midspan_args(half_params):
         step = math.pi / (8.0 * half_params.length)
-        return (Target.Phi0, half_params, step, 32.0 * step, step)
+        return (Target.Phi, half_params, step, 32.0 * step, step)
 
     def test_block_sizes_equal_default(self, half_params, monkeypatch):
         beams = seeded_beams(20261018, 2)
@@ -362,6 +368,15 @@ def _grid_only(monkeypatch):
     monkeypatch.setattr(shakerbeam.roots, "_mu_star", lambda params, mu_max: math.inf)
 
 
+def _phi0_grid_scan(monkeypatch, beam, mu_min, mu_max, step) -> tuple:
+    """``_scan`` of phi0 on the whole grid with Brent, the grid+Brent reference
+    for the Newton scan: the Phi scan's grid, brackets and refinement run on phi0."""
+    with monkeypatch.context() as m:
+        _grid_only(m)
+        m.setattr(shakerbeam.roots, "_target_fn", lambda target, p: lambda x: phi0(x, p.length, p.attachment_point))
+        return _scan(Target.Phi, beam, mu_min, mu_max, step)
+
+
 class TestHalfPeriodBrackets:
     """Above mu* (``roots._mu_star``) every half-period between the edges
     mu_k = (pi/4 + k pi)/l holds exactly one root of phi and of phi0, and the
@@ -379,39 +394,49 @@ class TestHalfPeriodBrackets:
 
     def test_one_root_per_half_period(self, params):
         # phi and phi0 sampled 80 times per half-period, as the grid does,
-        # change sign exactly once in each, from mu* to 1e4 and from 9e4 to 1e5
+        # change sign exactly once in each, from mu* to 1e4 and from 9e4 to 1e5;
+        # phi0 does from k = 0 on, and not at all on (0, mu_0]
         beams = seeded_beams(20261026, 3) + [
             dataclasses.replace(params, attachment_point=r * params.length) for r in np.linspace(0.05, 0.95, 10)
         ]
         for beam in beams:
             l, l0 = beam.length, beam.attachment_point
             first = round(_mu_star(beam, 1e5) * l / math.pi - 0.25)
-            for lo, hi in ((first, 1e4 * l / math.pi - 1.25), (9e4 * l / math.pi, 1e5 * l / math.pi - 1.25)):
+            exact = lambda x: phi(x, beam)
+            truncated = lambda x: phi0(x, l, l0)
+            for lo, hi, fns in (
+                (first, 1e4 * l / math.pi - 1.25, (exact, truncated)),
+                (9e4 * l / math.pi, 1e5 * l / math.pi - 1.25, (exact, truncated)),
+                (0, first - 1, (truncated,)),
+            ):
                 x = (np.arange(math.ceil(lo), math.floor(hi) + 1)[:, None] + 0.25 + np.arange(81) / 80.0) * (
                     math.pi / l
                 )
-                for values in (phi(x, beam), phi0(x, l, l0)):
-                    sign = np.sign(values)
+                for f in fns:
+                    sign = np.sign(f(x))
                     assert np.all(np.count_nonzero(sign[:, 1:] != sign[:, :-1], axis=1) == 1)
+            assert np.all(truncated(np.arange(1, 81) / 80.0 * (math.pi / (4.0 * l))) < 0.0)
 
     def test_equals_grid_scan_to_mu_1e5(self, params, half_params, monkeypatch):
-        # the same roots as the whole grid gives: bit for bit below mu*, within
-        # the Brent tolerance above it
+        # the same roots as the whole grid gives: for Phi bit for bit below mu*
+        # and within the Brent tolerance above it, for Phi0 (Newton) within the
+        # Brent tolerance everywhere
         for beam in (params, half_params):
-            mu_star = _mu_star(beam, 1e5)
-            args = [(target, beam, 0.1, 1e5, default_step(beam)) for target in Target]
-            closed = [_scan(*a) for a in args]
+            mu_star, step = _mu_star(beam, 1e5), default_step(beam)
+            (roots, suspects), (truncated, none) = (_scan(target, beam, 0.1, 1e5, step) for target in Target)
             with monkeypatch.context() as m:
                 _grid_only(m)
-                grid = [_scan(*a) for a in args]
-            for (roots, suspects), (want, want_suspects) in zip(closed, grid):
-                assert roots[0].size == want[0].size > 60_000
-                assert suspects[0].size == want_suspects[0].size == 0
-                below = want[0] < mu_star
-                assert 0 < np.count_nonzero(below) < 80
-                for column, want_column in zip(roots, want):
-                    assert np.array_equal(column[below], want_column[below])
-                assert np.max(np.abs(roots[0] - want[0])) <= shakerbeam.roots._BRACKET_TOL
+                want, want_suspects = _scan(Target.Phi, beam, 0.1, 1e5, step)
+            assert roots[0].size == want[0].size > 60_000
+            assert suspects[0].size == want_suspects[0].size == 0
+            below = want[0] < mu_star
+            assert 0 < np.count_nonzero(below) < 80
+            for column, want_column in zip(roots, want):
+                assert np.array_equal(column[below], want_column[below])
+            assert np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
+            want, _ = _phi0_grid_scan(monkeypatch, beam, 0.1, 1e5, step)
+            assert truncated[0].size == want[0].size > 60_000 and none[0].size == 0
+            assert np.max(np.abs(truncated[0] - want[0])) <= _BRACKET_TOL
 
     def test_exact_zero_at_window_top(self, half_params, monkeypatch):
         # midspan phi0 vanishes at 2 pi m / l: with mu_max there, the last
@@ -441,21 +466,33 @@ class TestHalfPeriodBrackets:
         with pytest.raises(AssertionError, match="edge brackets"):
             _scan(Target.Phi, beam, 0.1, 1.2e4, default_step(beam))
 
-
-    def test_mu_star_cached(self, params, monkeypatch):
-        calls = []
-        certified = shakerbeam.roots._certified
-
-        def counting(k, beam):
-            calls.append(k)
-            return certified(k, beam)
-
-        monkeypatch.setattr(shakerbeam.roots, "_certified", counting)
-        first = _mu_star(params, 1000.0)
-        assert calls
-        calls.clear()
-        assert _mu_star(params, 1000.0) == first
-        assert not calls
+    def test_bad_start_takes_brent_fallback(self, params, half_params, monkeypatch):
+        # a start in the next half-period leaves its own, and one Newton step
+        # does not converge (but at midspan, where the start is the root):
+        # those lanes are refined by Brent on their whole half-period, to the
+        # roots the good starts give
+        calls = _spy_refinement(monkeypatch)
+        start = shakerbeam.roots._phi0_start
+        for beam in (params, half_params):
+            l, step = beam.length, default_step(beam)
+            want = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
+            k = np.arange(math.floor(1000.0 * l / math.pi - 0.25) + 1)  # the half-periods that meet the window
+            assert not calls
+            with monkeypatch.context() as m:
+                m.setattr(shakerbeam.roots, "_phi0_start", lambda k, l, l0: start(k, l, l0) + (k % 3 == 0) * math.pi / l)
+                got = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
+            [(a, b)] = calls
+            assert np.array_equal(a, _edge(k[k % 3 == 0], l)) and np.array_equal(b, _edge(k[k % 3 == 0] + 1, l))
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(shakerbeam.roots, "_NEWTON_STEPS", 1)
+                slow = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
+            assert [a.size for a, _ in calls] == ([k.size] if beam is params else [])
+            calls.clear()
+            for found in (got, slow):
+                assert found[0].size == want[0].size
+                assert np.max(np.abs(found[0] - want[0])) <= _BRACKET_TOL
+                assert np.all((found[2] < found[0]) & (found[0] < found[3]))
 
 
 def _scan_bits(scan) -> list:
@@ -465,245 +502,40 @@ def _scan_bits(scan) -> list:
 
 
 def _spy_refinement(monkeypatch) -> list:
-    """Record the brackets (a, b) and the lane tags of every ``_refine_brackets`` call."""
+    """Record the brackets (a, b) of every ``_refine_brackets`` call."""
     calls = []
     refine = shakerbeam.roots._refine_brackets
 
-    def spy(f, a, fa, b, fb, lanes=None):
-        calls.append((a, b, lanes))
-        return refine(f, a, fa, b, fb, lanes)
+    def spy(f, a, fa, b, fb):
+        calls.append((a, b))
+        return refine(f, a, fa, b, fb)
 
     monkeypatch.setattr(shakerbeam.roots, "_refine_brackets", spy)
     return calls
 
 
-def _half_periods(a, b, l) -> tuple:
-    """(k, full): k = rint(a l/pi - 1/4) of each bracket (a, b), and whether it
-    is the full half-period between the edges mu_k and mu_{k+1}."""
-    k = np.round(a * l / math.pi - 0.25)
-    return k, ((k + 0.25) * (math.pi / l) == a) & ((k + 1.25) * (math.pi / l) == b)
-
-
 def _lanes(calls) -> list:
-    return [a.size for a, _, _ in calls]
-
-
-def _cold_scan(*args):
-    clear_half_period_table()
-    return _scan(*args)
-
-
-class TestHalfPeriodTable:
-    """A scan above mu* takes from the table the full half-periods that the
-    last scan of the same beam and target refined; the roots stay bit for bit
-    those of a cold scan."""
-
-    # a wide op: the caller's two scans, then verify's Phi0 and Phi scans
-    WIDE_OP = [
-        (Target.Phi, 0.1, 1000.0),
-        (Target.Phi0, 0.1, 1000.0),
-        (Target.Phi0, 15.0, 1000.0),
-        (Target.Phi, 15.0, 1000.35),
-    ]
-
-    # later windows above mu*: inside the stored k range, ending beyond it, and past it
-    LATER = [
-        (Target.Phi, 0.1, 1000.0),
-        (Target.Phi, 500.0, 1000.35),
-        (Target.Phi, 700.0, 1500.0),
-        (Target.Phi0, 0.1, 1000.0),
-        (Target.Phi0, 999.0, 1200.0),
-        (Target.Phi0, 1300.0, 1400.0),
-    ]
-
-    @staticmethod
-    def _beams(params):
-        ratios = (0.05, 0.3, 0.5, 0.77, 0.95)
-        return [dataclasses.replace(params, attachment_point=r * params.length) for r in ratios]
-
-    def test_warm_scans_equal_cold(self, params, monkeypatch):
-        calls = _spy_refinement(monkeypatch)
-        tables = shakerbeam.roots._HALF_PERIODS
-        classes = {Target.Phi: shakerbeam.roots._Phi, Target.Phi0: shakerbeam.roots._Phi0}
-        for beam in self._beams(params):
-            l, step = beam.length, default_step(beam)
-            for windows in (self.WIDE_OP, self.LATER):
-                calls.clear()
-                cold = [_scan_bits(_cold_scan(target, beam, lo, hi, step)) for target, lo, hi in windows]
-                cold_calls, cold_lanes = list(calls), _lanes(calls)
-                calls.clear()
-                clear_half_period_table()
-                warm, taken = [], []
-                for (target, lo, hi), (a, b, _) in zip(windows, cold_calls):
-                    entry = tables[classes[target]]
-                    warm.append(_scan_bits(_scan(target, beam, lo, hi, step)))
-                    # exactly the cold lanes outside the stored k range are refined
-                    k, full = _half_periods(a, b, l)
-                    stored = np.zeros(a.size, dtype=bool)
-                    if entry is not None:
-                        _, k0, ends, _ = entry
-                        stored = full & (k0 <= k) & (k < k0 + ends.size - 1)
-                    assert np.array_equal(calls[-1][0], a[~stored])
-                    taken.append(np.count_nonzero(stored))
-                assert warm == cold
-                lanes = _lanes(calls)
-                if windows is self.WIDE_OP:
-                    # verify's scans took most of their brackets from the table
-                    assert lanes[:2] == cold_lanes[:2] and sum(lanes[2:]) < sum(cold_lanes[2:]) / 2
-                else:
-                    # a window above mu* inside the stored range takes its full half-periods at an offset
-                    assert taken[1] > 200 and lanes[1] <= 3 and taken[2] > 100
-
-    def test_verify_refines_no_full_half_period(self, params, monkeypatch):
-        calls = _spy_refinement(monkeypatch)
-        for beam in self._beams(params):
-            l, step = beam.length, default_step(beam)
-            for target in Target:
-                _scan(target, beam, 0.1, 1000.0, step)
-            calls.clear()
-            verify_localization(beam, 0.35, 15.0, 1000.0, step)
-            # one batch refines both scans: Phi0's lanes (tag 0), then Phi's (tag 1)
-            [(a, b, job)] = calls
-            assert np.all(np.diff(job) >= 0) and set(job.tolist()) == {0, 1}
-            for target in (0, 1):
-                a_t, b_t = a[job == target], b[job == target]
-                assert not _half_periods(a_t, b_t, l)[1].any()
-                # the lanes left are the grid brackets below mu* and the partial half-periods
-                assert np.count_nonzero(a_t < _mu_star(beam, 1000.0)) >= a_t.size - 2
-
-    def test_other_beam_or_function_takes_no_lane(self, params, monkeypatch):
-        step = default_step(params)
-        l0 = math.nextafter(params.attachment_point, math.inf)
-        nudged = dataclasses.replace(params, attachment_point=l0)
-        calls = _spy_refinement(monkeypatch)
-        cold = _scan_bits(_cold_scan(Target.Phi, nudged, 15.0, 1000.0, step))
-        cold_lanes = _lanes(calls)
-        assert cold_lanes[0] > 500
-        _scan(Target.Phi, params, 0.1, 1000.0, step)
-        calls.clear()
-        assert _scan_bits(_scan(Target.Phi, nudged, 15.0, 1000.0, step)) == cold
-        assert _lanes(calls) == cold_lanes
-        # a function that is not the package's own phi or phi0, here a
-        # wrapper of it, is always refined in full
-        target_fn = shakerbeam.roots._target_fn
-        def wrapped(target, p):
-            f = target_fn(target, p)
-            return lambda x: f(x)
-
-        monkeypatch.setattr(shakerbeam.roots, "_target_fn", wrapped)
-        for beam in (params, params, nudged):
-            calls.clear()
-            _scan(Target.Phi, beam, 15.0, 1000.0, step)
-            assert _lanes(calls) == cold_lanes
-
-    def test_changed_end_value_takes_no_lane(self, params, monkeypatch):
-        # a half-period is taken only when both its end values are the stored bits
-        l, step = params.length, default_step(params)
-        _scan(Target.Phi0, params, 0.1, 1000.0, step)
-        _, k0, ends, _ = shakerbeam.roots._HALF_PERIODS[shakerbeam.roots._Phi0]
-        ends[100] = np.nextafter(ends[100], math.inf)
-        calls = _spy_refinement(monkeypatch)
-        _scan(Target.Phi0, params, 15.0, 1000.0, step)
-        [(a, b, _)] = calls
-        k, full = _half_periods(a, b, l)
-        assert k[full].tolist() == [k0 + 99, k0 + 100]
-
-    def test_table_bounded_by_block(self, params):
-        l, step = params.length, default_step(params)
-        tables = shakerbeam.roots._HALF_PERIODS
-        _scan(Target.Phi0, params, 0.1, 1e4, step)
-        _, k0, ends, (mu, _, _, lo, hi) = tables[shakerbeam.roots._Phi0]
-        assert 5900 < mu.size <= shakerbeam.roots._BLOCK and ends.size == mu.size + 1
-        # the stored roots lie in the consecutive half-periods k0, k0 + 1, ...,
-        # and ends holds phi0 at their edges
-        k = k0 + np.arange(mu.size)
-        for column in (mu, lo, hi):
-            assert np.array_equal(np.floor(column * l / math.pi - 0.25), k)
-        edges = (k0 + np.arange(ends.size) + 0.25) * (math.pi / l)
-        assert np.array_equal(ends, phi0(edges, l, params.attachment_point))
-        _scan(Target.Phi0, params, 0.1, 1.5e4, step)  # about 9,000 half-periods
-        assert tables[shakerbeam.roots._Phi0] is None
-        _scan(Target.Phi0, params, 0.1, 1000.0, step)
-        _scan(Target.Phi0, params, 500.0, 501.0, step)  # no full half-period
-        assert tables[shakerbeam.roots._Phi0] is None
-
-    def test_concurrent_beams_get_cold_results(self, params):
-        beams = self._beams(params)
-        step = default_step(params)
-        windows = [(0.1, 1000.0), (15.0, 1000.35)]
-        jobs = [(target, beam, lo, hi) for beam in beams for target in Target for lo, hi in windows]
-        cold = {job: _scan_bits(_cold_scan(*job[:2], *job[2:], step)) for job in jobs}
-
-        def run(job):
-            return _scan_bits(_scan(*job[:2], *job[2:], step))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(8) as callers:
-                results = list(callers.map(run, jobs * 3, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [cold[job] for job in jobs * 3]
+    return [a.size for a, _ in calls]
 
 
 class TestFusedPair:
-    """``verify_localization`` and the CLI's ``roots`` and ``growth`` refine
-    their Phi and Phi0 scans in one Brent batch; each scan stays bit for bit
-    the one it gives alone."""
-
-    @staticmethod
-    def _record(monkeypatch) -> list:
-        """Record (beam, step, jobs, bits of each job's scan) of every ``_scan_jobs`` call."""
-        calls = []
-        scan_jobs = shakerbeam.roots._scan_jobs
-
-        def recording(beam, step, jobs):
-            found = scan_jobs(beam, step, jobs)
-            calls.append((beam, step, jobs, [_scan_bits(scan) for scan in found]))
-            return found
-
-        monkeypatch.setattr(shakerbeam.roots, "_scan_jobs", recording)
-        monkeypatch.setattr(shakerbeam.cli, "_scan_jobs", recording)
-        return calls
-
-    def test_pairs_equal_single_scans(self, params, half_params, monkeypatch):
-        # shipped windows below mu*, and windows to mu = 1000 whose verify
-        # pair runs cold and warm: after the caller's pair filled the tables
-        shipped = {id(params): (38.5, 0.35), id(half_params): (32.0, 0.3)}
-        beams = [params, half_params] + TestHalfPeriodTable._beams(params)
-        calls = self._record(monkeypatch)
-        for beam in beams:
-            step = default_step(beam)
-            config = dataclasses.replace(shakerbeam.cli.load_config(), params=beam, step=step)
-            for mu_max, epsilon in [shipped.get(id(beam), (38.5, 0.35)), (1000.0, 0.35)]:
-                clear_half_period_table()
-                verify_localization(beam, epsilon, 15.0, mu_max, step)  # cold
-                shakerbeam.cli._scan_pair(dataclasses.replace(config, mu_max=mu_max))
-                verify_localization(beam, epsilon, 10.0, mu_max, step)  # warm above mu*
-        monkeypatch.undo()
-        assert [len(jobs) for _, _, jobs, _ in calls] == [2] * 6 * len(beams)
-        for beam, step, jobs, bits in calls:
-            assert {target for target, _, _ in jobs} == set(Target)
-            for (target, lo, hi), want in zip(jobs, bits):
-                assert _scan_bits(_cold_scan(target, beam, lo, hi, step)) == want
+    """``verify_localization`` and the CLI's ``roots`` and ``growth`` scan Phi
+    and Phi0 one at a time; a scan refines its brackets _BLOCK at a time, and
+    verify checks its epsilon precondition before the exact scan."""
 
     def test_split_batch_equals_one_batch(self, params, monkeypatch):
-        # about 12,000 lanes to mu = 1e4: split at _BLOCK lanes, at 100 lanes
-        # (which also makes 100-point grid blocks), and in one batch
-        step = default_step(params)
-        jobs = [(Target.Phi0, 15.0, 1e4), (Target.Phi, 15.0, 1e4 + 0.35)]
+        # about 12,000 Phi lanes to mu = 2e4: split at _BLOCK lanes, at 100
+        # lanes (which also makes 100-point grid blocks), and in one batch
+        args = (Target.Phi, params, 15.0, 2e4 + 0.35, default_step(params))
         calls = _spy_refinement(monkeypatch)
-        want = [_scan_bits(scan) for scan in shakerbeam.roots._scan_jobs(params, step, jobs)]
+        want = _scan_bits(_scan(*args))
         lanes = sum(_lanes(calls))
         assert _lanes(calls) == [shakerbeam.roots._BLOCK, lanes - shakerbeam.roots._BLOCK]
-        for block, chunks in ((100, math.ceil(lanes / 100)), (2**14, 1)):
-            clear_half_period_table()
+        for block, chunks in ((100, math.ceil(lanes / 100)), (2**15, 1)):
             calls.clear()
             monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
-            found = shakerbeam.roots._scan_jobs(params, step, jobs)
+            assert _scan_bits(_scan(*args)) == want
             assert len(calls) == chunks and sum(_lanes(calls)) == lanes
-            assert [_scan_bits(scan) for scan in found] == want
 
     def test_exact_window_error_after_precondition(self, params):
         # mu_max + epsilon past the limit: exit-4 precondition first, then the
@@ -750,13 +582,14 @@ class TestWindowLimit:
         assert len(roots) == len(scan_roots(target, beam, lo, hi, default_step(beam))) == changes == count
 
     def test_fine_step_above_mu_star_builds_no_grid(self, params):
-        # the window lies above mu* = 107.6: its brackets are the edges, whatever the step
-        fine = _scan_bits(_scan(Target.Phi0, params, 200.0, 1e4, 2e-6))
-        clear_half_period_table()
-        assert fine == _scan_bits(_scan(Target.Phi0, params, 200.0, 1e4, default_step(params)))
-        for mu_min, mu_max, step in ((0.1, 1e4, 2e-8), (200.0, 1e4, 5e-324)):
-            with pytest.raises(ConfigurationError, match="too fine"):
-                _scan(Target.Phi0, params, mu_min, mu_max, step)
+        # the window lies above mu* = 107.6: its Phi brackets are the edges, whatever
+        # the step, and Phi0 has no grid; both targets check the step
+        for target in Target:
+            fine = _scan_bits(_scan(target, params, 200.0, 1e4, 2e-6))
+            assert fine == _scan_bits(_scan(target, params, 200.0, 1e4, default_step(params)))
+            for mu_min, mu_max, step in ((0.1, 1e4, 2e-8), (200.0, 1e4, 5e-324)):
+                with pytest.raises(ConfigurationError, match="too fine"):
+                    _scan(target, params, mu_min, mu_max, step)
 
     def test_scan_above_limit_fails_before_allocating(self, params):
         tracemalloc.start()
@@ -925,9 +758,20 @@ class TestVerifyLocalization:
         assert any(abs(t - 0.99485153) < 1e-4 for t in unmatched)
         assert any(abs(s - 5.6182439) < 1e-4 for s in report.stray_roots)
 
-    def test_epsilon_overlap_precondition(self, params):
-        with pytest.raises(LocalizationPreconditionError, match="half the minimum"):
-            verify_localization(params, 0.9, 10.0, 38.5)
+    def test_epsilon_overlap_precondition(self, params, monkeypatch):
+        # the precondition is checked on the anchors before any exact scan
+        targets = []
+        scan = shakerbeam.roots._scan
+
+        def spy(target, *args):
+            targets.append(target)
+            return scan(target, *args)
+
+        monkeypatch.setattr(shakerbeam.roots, "_scan", spy)
+        for epsilon, mu_max in ((0.9, 38.5), (0.5, 1e4)):
+            with pytest.raises(LocalizationPreconditionError, match="half the minimum"):
+                verify_localization(params, epsilon, 10.0, mu_max)
+        assert targets == [Target.Phi0, Target.Phi0]
 
     def test_nonpositive_epsilon_precondition(self, params):
         with pytest.raises(LocalizationPreconditionError):
@@ -956,19 +800,19 @@ class TestVerifyLocalization:
             verify_localization(params, 0.35, threshold, 38.5)
 
     @staticmethod
-    def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch, scan_jobs=None):
+    def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch, scan=None):
         """Every anchor against every exact root, from the report's own scans,
-        which scan_jobs gives in place of ``_scan_jobs`` when it is set."""
-        scans = []
-        scan_jobs = scan_jobs or shakerbeam.roots._scan_jobs
+        which scan gives in place of ``_scan`` when it is set."""
+        scans = {}
+        scan = scan or shakerbeam.roots._scan
 
-        def recording_scan(*args):
-            scans.extend(scan_jobs(*args))
-            return scans[-2:]
+        def recording_scan(target, *args):
+            scans[target] = scan(target, *args)
+            return scans[target]
 
-        monkeypatch.setattr(shakerbeam.roots, "_scan_jobs", recording_scan)
+        monkeypatch.setattr(shakerbeam.roots, "_scan", recording_scan)
         report = verify_localization(beam, epsilon, threshold, mu_max)
-        truncated, exact = (found[0][0].tolist() for found in scans)
+        truncated, exact = (scans[target][0][0].tolist() for target in (Target.Phi0, Target.Phi))
         anchors = [a for a in truncated if a > threshold]
         exact = [m for m in exact if m > threshold]
         pairings = []
@@ -1030,10 +874,9 @@ class TestVerifyLocalization:
         truncated = np.array([4.0, 10.0, 20.0, 30.0])
         exact = np.array([3.5, 10.125, 19.75, 20.25, 35.5, 38.6])
 
-        def synthetic(beam, step, jobs):
-            assert [target for target, _, _ in jobs] == [Target.Phi0, Target.Phi]
-            empty = np.empty(0)
-            return [((mu, mu, mu, mu, mu, mu), (empty, empty)) for mu in (truncated, exact)]
+        def synthetic(target, *args):
+            mu, empty = truncated if target is Target.Phi0 else exact, np.empty(0)
+            return (mu, mu, mu, mu, mu, mu), (empty, empty)
 
         report = self._check_against_brute_force(params, 0.35, 5.0, 38.5, monkeypatch, synthetic)
         assert [(p.exact_root, p.status) for p in report.pairings] == [
@@ -1042,6 +885,15 @@ class TestVerifyLocalization:
             (None, PairingStatus.NoExactRootInNeighborhood),
         ]
         assert report.stray_roots == (35.5,) and report.verdict is False
+
+    def test_same_after_the_callers_scans(self, params, half_params):
+        # no scan leaves state behind: verify after a wide op's own scans equals verify run first
+        for beam in (params, half_params):
+            step = default_step(beam)
+            cold = verify_localization(beam, 0.3, 15.0, 1000.0, step)
+            for target in Target:
+                scan_roots(target, beam, 0.1, 1000.0, step)
+            assert verify_localization(beam, 0.3, 15.0, 1000.0, step) == cold
 
     def test_distances_shrink_with_mu(self, params):
         report = verify_localization(params, 0.45, 12.0, 38.5)
