@@ -1,18 +1,20 @@
 """Root location for the exact and truncated characteristic functions.
 
-``scan_roots`` brackets sign changes of phi on a uniform grid up to mu*, the
-edge (pi/4 + k pi)/l from which every half-period between two such edges
-provably holds exactly one root (``_certified``); above mu* the edges
+``scan_roots`` brackets sign changes of phi or phi0 on a uniform grid up to
+mu*, the edge (pi/4 + k pi)/l from which every half-period between two such
+edges provably holds exactly one root (``_certified``); above mu* the edges
 themselves are the brackets.  It refines the brackets in one lockstep
 safeguarded Brent batch, _BLOCK at a time: each round evaluates once, on an
-array of the brackets still open.  phi0 needs no grid: every half-period from
-k = 0 holds exactly one simple root of it and (0, mu_0] none, so its scan
-solves each half-period that meets the window by Newton from a closed-form
-start (``_phi0_roots``).  The module holds no state between calls.
-``verify_localization`` checks the asymptotic pairing structure: above a
-threshold, every truncated root has exactly one exact root in its
-epsilon-neighborhood, its nearest, and the complement holds none.  It and
-``pair_mutual_nearest`` find nearest roots with ``_nearest_index``.
+array of the brackets still open.  phi0 has exactly one simple root in every
+half-period from k = 0, so below mu* its scan evaluates only the grid points
+around the roots that Newton locates (``_phi0_reduce``), with the same
+brackets and roots as the whole grid.  The module holds no state between
+calls.
+``verify_localization`` takes phi0's Newton roots as its anchors and checks
+the asymptotic pairing structure: above a threshold, every truncated root has
+exactly one exact root in its epsilon-neighborhood, its nearest, and the
+complement holds none.  It and ``pair_mutual_nearest`` find nearest roots
+with ``_nearest_index``.
 ``closed_form_roots_half`` generates the explicit root sequence available when
 the attachment sits at midspan.
 """
@@ -76,9 +78,9 @@ class Target(enum.Enum):
 class Root(NamedTuple):
     """A refined zero of a characteristic function.
 
-    degenerate marks grid points, or window ends for phi0, where |f| < 1e-13
-    without a usable sign change (the bracket collapses to the point itself).
-    A tuple: equal to any tuple of the same fields.
+    degenerate marks grid points where |f| < 1e-13 without a usable sign
+    change (the bracket collapses to the point itself).  A tuple: equal to
+    any tuple of the same fields.
     """
 
     mu: float
@@ -266,7 +268,7 @@ def _edge(k, l: float):
 
 def _certified(k: int, params: BeamParameters) -> bool:
     """Whether every half-period (mu_j, mu_{j+1}) with j >= k holds exactly one
-    root of phi (for phi0 see ``_phi0_roots``).
+    root of phi, and of phi0.
 
     phi0(mu) = cos(delta mu) - sqrt 2 sin(l mu + pi/4) with delta = l - 2 l0,
     and |phi - phi0| = |phi1| <= B (``_phi1_bound``), |phi1'| <= B'
@@ -281,6 +283,7 @@ def _certified(k: int, params: BeamParameters) -> bool:
       + phi1' is nonzero with the sign of -cos(l mu + pi/4), fixed on the
       half-period.  Every zero there is simple and crosses the same way, so
       there is exactly one.
+    The same holds for phi0, with phi1 = 0.
     """
     l, l0 = params.length, params.attachment_point
     mu = _edge(k, l)
@@ -366,13 +369,14 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
     degenerate) of the roots in ascending mu, (x, fx) of the suspects); top
     names mu_max in the window-limit message.  No grid point lies above mu*."""
     mu_star = _check_window(params, mu_min, mu_max, step, top)
-    if target is Target.Phi0:
-        return _phi0_roots(params, mu_min, mu_max), (np.empty(0), np.empty(0))
     f = _target_fn(target, params)
     n = int(math.ceil((mu_max - mu_min) / step))
     end = _grid_end(mu_min, mu_max, n, mu_star)
-    blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
-    parts = [block for block in blocks if any(part.size for part in block)]
+    if target is Target.Phi0:
+        parts = [_phi0_reduce(params, mu_min, mu_max, n, end)] if end else []
+    else:
+        blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
+        parts = [block for block in blocks if any(part.size for part in block)]
     if end <= n:
         g = end * ((mu_max - mu_min) / n) + mu_min
         parts.append(_reduce_edges(f, g, mu_max, params.length))
@@ -381,19 +385,15 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
     for i in range(0, a.size, _BLOCK):
         for out, column in zip(refined, _refine_brackets(f, *(c[i : i + _BLOCK] for c in (a, fa, b, fb)))):
             out[i : i + _BLOCK] = column
-    met = np.abs(refined[1]) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
-    return _roots(hit_x, hit_f, refined, met), (sus_x, sus_f)
-
-
-def _roots(hit_x, hit_f, refined, keep) -> tuple:
-    """The root columns (mu, residual, lo, hi, iterations, degenerate) in ascending mu: the
-    zeros hit_x as degenerate brackets (x, x), and the refined (x, fx, iterations, lo, hi) lanes kept."""
-    x, fx, iterations, lo, hi = (column[keep] for column in refined)
+    x, fx, iterations, lo, hi = refined
+    # refinements that miss the residual contract are not roots
+    met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(fa), np.abs(fb)))
+    # grid points that are numerically exact zeros are degenerate brackets (x, x)
     hits = (hit_x, hit_f, hit_x, hit_x, np.zeros(hit_x.size, dtype=int), np.ones(hit_x.size, dtype=bool))
     tails = (x, fx, lo, hi, iterations, np.zeros(x.size, dtype=bool))
-    columns = [np.concatenate(pair) for pair in zip(hits, tails)]
+    columns = [np.concatenate((hit, column[met])) for hit, column in zip(hits, tails)]
     order = np.argsort(columns[0], kind="stable")
-    return tuple(column[order] for column in columns)
+    return tuple(column[order] for column in columns), (sus_x, sus_f)
 
 
 def _phi0_start(k, l: float, l0: float):
@@ -403,68 +403,70 @@ def _phi0_start(k, l: float, l0: float):
     return m - (1.0 - 2.0 * (k & 1)) * np.arcsin(np.cos((l - 2.0 * l0) * m) / math.sqrt(2.0)) / l
 
 
-def _phi0_roots(params: BeamParameters, mu_min: float, mu_max: float) -> tuple:
-    """The root columns of phi0 in the window, as ``_scan`` gives them.
+def _phi0_reduce(params: BeamParameters, mu_min: float, mu_max: float, n: int, end: int) -> tuple:
+    """``_reduce`` of the grid points i < end of a phi0 scan (``_reduce_block``),
+    bit for bit, from about three points per root: the ends of the cells that
+    meet each interval (lo, hi) of ``_phi0_locate`` widened by its width.  No
+    root lies between two kept points that are not neighbors, and a zero or
+    suspect of the whole grid (|phi0| < 1e-10) lies within 1e-10/(l - |delta|)
+    of a root: for any step above that, at an end of that root's cell."""
+    d, top = (mu_max - mu_min) / n, min(end, n)  # the grid's last point, owned by the edges if end <= n
+    _, lo, hi = _phi0_locate(params, mu_min, top * d + mu_min)
+    cell = lambda y: np.clip(np.floor((y - mu_min) / d), 0, top - 1).astype(int)
+    first = cell(2.0 * lo - hi)
+    count = cell(2.0 * hi - lo) + 2 - first
+    j = np.sort(np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum()))
+    j = j[np.diff(j, prepend=-1) > 0]  # not np.unique, whose first call imports numpy.ma
+    x = np.where(j == n, mu_max, j * d + mu_min)
+    return _reduce(x, phi0(x, params.length, params.attachment_point), 0, np.searchsorted(j, end))
+
+
+def _phi0_roots(params: BeamParameters, mu_min: float, mu_max: float):
+    """The roots of phi0 in (mu_min, mu_max], ascending: Newton's (``_phi0_locate``),
+    within 2 ulp of a scan's, and mu_max itself where |phi0| < _GRID_ZERO there."""
+    x = _phi0_locate(params, mu_min, mu_max)[0]
+    if x.size and abs(phi0(mu_max, params.length, params.attachment_point)) < _GRID_ZERO:
+        x[-1] = mu_max  # the last half-period holds mu_max
+    return x[(x > mu_min) & (x <= mu_max)]
+
+
+def _phi0_locate(params: BeamParameters, mu_min: float, mu_max: float) -> tuple:
+    """(x, lo, hi) for the root x of each half-period that meets [mu_min, mu_max],
+    _BLOCK half-periods at a time, (lo, hi) strictly holding it.
 
     ``_certified``'s argument with phi1 = 0 (B = B' = 0) needs only l > |delta|,
     which 0 < l0 < l gives, so from k = 0 every half-period (mu_k, mu_{k+1})
-    holds exactly one root of phi0, a simple one.  On (0, mu_0],
-    sqrt 2 sin(l mu + pi/4) > 1 >= cos(delta mu): phi0 < 0, no root.  Newton
-    solves each half-period that meets the window, _BLOCK at a time
-    (``_phi0_block``).  The roots strictly inside the window are kept; an end
-    of the window where |phi0| < _GRID_ZERO is a degenerate root in place of
-    its half-period's.
+    holds exactly one root of phi0, a simple one, and |phi0'| >= l - |delta|
+    near it.  On (0, mu_0], sqrt 2 sin(l mu + pi/4) > 1 >= cos(delta mu):
+    phi0 < 0, no root.  Newton steps from ``_phi0_start`` until every step is
+    below the Brent tolerance tol, and a lane keeps (x - tol, x + tol) if phi0
+    differs in sign at its ends.  A lane that ends outside its half-period,
+    takes more than _NEWTON_STEPS steps, or fails that test takes the root and
+    bracket of ``_refine_brackets`` on the whole half-period instead.
     """
     l, l0 = params.length, params.attachment_point
     # an edge that rounding misplaces only adds or drops a half-period whose root lies far outside the window
-    k0 = max(math.floor(mu_min * l / math.pi - 0.25), 0)
-    k = np.arange(k0, math.floor(mu_max * l / math.pi - 0.25) + 1)
-    *refined, met = [np.empty(k.size, dtype=dtype) for dtype in (float, float, int, float, float, bool)]
+    k0, k1 = (math.floor(mu * l / math.pi - 0.25) for mu in (mu_min, mu_max))
+    k = np.arange(max(k0, 0), k1 + 1)
+    columns = np.empty((3, k.size))
     for i in range(0, k.size, _BLOCK):
-        for out, column in zip((*refined, met), _phi0_block(k[i : i + _BLOCK], l, l0)):
-            out[i : i + _BLOCK] = column
-    keep = met & (refined[0] > mu_min) & (refined[0] < mu_max)
-    window = np.array([mu_min, mu_max])
-    values = phi0(window, l, l0)
-    hit = np.abs(values) < _GRID_ZERO
-    keep &= ~np.isin(k, np.floor(window[hit] * l / math.pi - 0.25))  # a hit replaces its half-period's root
-    return _roots(window[hit], values[hit], refined, keep)
-
-
-def _phi0_block(k, l: float, l0: float) -> tuple:
-    """(x, phi0(x), iterations, lo, hi, met) of the root in each half-period k: Newton
-    steps until one is below the Brent tolerance tol, then x with the bracket x -/+ tol.
-    A lane that leaves its half-period, takes more than _NEWTON_STEPS steps, or whose
-    bracket ends do not differ in sign is refined by ``_refine_brackets`` on the whole
-    half-period instead.  iterations counts phi0 evaluations: the steps and three more
-    (Brent's count on such a lane).  met is the residual contract against phi0 at the edges."""
-    edges = _edge(np.arange(k[0], k[-1] + 2), l)
-    ends = phi0(edges, l, l0)
-    a, b, x = edges[:-1], edges[1:], np.full(k.size, math.nan)  # x stays NaN on a lane that fails
-    steps = np.zeros(k.size, dtype=int)
-    lane, y = np.arange(k.size), _phi0_start(k, l, l0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            dy = phi0(y, l, l0) / phi0_prime(y, l, l0)
-            steps[lane] += 1
-            y = y - dy
-            inside = (a[lane] < y) & (y < b[lane])
-            done = inside & (np.abs(dy) <= 0.5 * _BRACKET_TOL + _EPS * np.abs(y))
-            x[lane[done]] = y[done]
-            lane, y = lane[inside & ~done], y[inside & ~done]
-            if not lane.size:
-                break
-    tol = 0.5 * _BRACKET_TOL + _EPS * np.abs(x)
-    lo, hi = x - tol, x + tol
-    fx, f_lo, f_hi = np.split(phi0(np.concatenate((x, lo, hi)), l, l0), 3)
-    columns = [x, fx, steps + 3, lo, hi]
-    bad = np.flatnonzero(~(np.sign(f_lo) * np.sign(f_hi) < 0.0))
-    if bad.size:
-        fallback = _refine_brackets(lambda mu: phi0(mu, l, l0), a[bad], ends[bad], b[bad], ends[bad + 1])
-        for column, fixed in zip(columns, fallback):
-            column[bad] = fixed
-    met = np.abs(fx) <= _RESIDUAL_FACTOR * (1.0 + _max(np.abs(ends[:-1]), np.abs(ends[1:])))
-    return (*columns, met)
+        kb = k[i : i + _BLOCK]
+        a, b, x = _edge(kb, l), _edge(kb + 1, l), _phi0_start(kb, l, l0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                step = phi0(x, l, l0) / phi0_prime(x, l, l0)
+                x = x - step
+                tol = 0.5 * _BRACKET_TOL + _EPS * np.abs(x)
+                if np.all(np.abs(step) <= tol):
+                    break
+            straddle = np.sign(phi0(x - tol, l, l0)) * np.sign(phi0(x + tol, l, l0)) < 0.0
+        columns[:, i : i + _BLOCK] = x, x - tol, x + tol
+        bad = np.flatnonzero(~((a < x) & (x < b) & (np.abs(step) <= tol) & straddle))
+        if bad.size:
+            f = lambda mu: phi0(mu, l, l0)
+            x, _, _, lo, hi = _refine_brackets(f, a[bad], f(a[bad]), b[bad], f(b[bad]))
+            columns[:, i + bad] = x, lo, hi
+    return columns
 
 
 def scan_with_suspects(
@@ -476,22 +478,21 @@ def scan_with_suspects(
 ) -> tuple:
     """Scan a window; return (roots, suspects).
 
-    For Phi the grid is np.linspace(mu_min, mu_max, n + 1) up to its first
-    point at or above mu* (``_mu_star``; all of it if mu* lies above the
-    window), walked in blocks: memory is O(block + roots).  Above that point
-    the brackets are the edges (pi/4 + k pi)/l, each half-period holding
-    exactly one root, and the two partial half-periods at the ends hold one
-    exactly when their end values differ in sign.  Roots below mu* are those
-    of the whole grid, bit for bit.  Suspects are grid local minima of |f|
-    below 1e-10 without a sign change -- near-tangent configurations that must
-    not be silently promoted to roots.  Above mu* there are none, nor exact
-    zeros at grid points: |phi'| > 0 wherever |phi0| <= B.
+    The grid is np.linspace(mu_min, mu_max, n + 1) up to its first point at
+    or above mu* (``_mu_star``; all of it if mu* lies above the window), walked
+    in blocks: memory is O(block + roots).  Above that point the brackets are
+    the edges (pi/4 + k pi)/l, each half-period holding exactly one root, and
+    the two partial half-periods at the ends hold one exactly when their end
+    values differ in sign.  Roots below mu* are those of the whole grid, bit
+    for bit.  Suspects are grid local minima of |f| below 1e-10 without a sign
+    change -- near-tangent configurations that must not be silently promoted
+    to roots.  Above mu* there are none, nor exact zeros at grid points: there
+    is no grid there, and |phi'| > 0 wherever |phi0| <= B, so every zero of phi
+    there is a simple crossing.  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
 
-    Phi0 has no grid: Newton solves each half-period (``_phi0_roots``), within
-    _BRACKET_TOL of a grid scan's roots.  Its iterations count phi0
-    evaluations, it has no suspects, and its only degenerate roots are window
-    ends where |phi0| < 1e-13.  Both targets check the step.  The window lies
-    in [_MU_MIN, 1.001 * _MU_MAX].  Roots are ``Root`` tuples.
+    Below mu*, a phi0 scan evaluates only the grid points around its roots,
+    which Newton locates (``_phi0_reduce``): its roots and suspects are those
+    of the whole grid, bit for bit.  Roots are ``Root`` tuples.
     """
     roots, suspects = _scan(target, params, mu_min, mu_max, step)
     mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)
@@ -550,10 +551,11 @@ def verify_localization(
     The report's min_abs_phi0_complement is sampled on 4,001 points, an upper
     bound on the true minimum (see ``LocalizationReport``).
 
-    It scans Phi0 over (threshold_M, mu_max] itself and checks the epsilon
-    precondition on those anchors before it checks the exact window, to
-    mu_max + epsilon, and scans Phi there: a violated precondition wins over
-    an invalid exact window and costs no exact scan.  The pairings are
+    Its anchors are phi0's roots in (threshold_M, mu_max] by Newton
+    (``_phi0_roots``), within 2 ulp of a scan's.  It checks the epsilon
+    precondition on them before it checks the exact window, to mu_max +
+    epsilon, and scans Phi there: a violated precondition wins over an invalid
+    exact window and costs no Brent refinement.  The pairings are
     ``RootPairing`` tuples.
     """
     if epsilon <= 0.0:
@@ -580,8 +582,8 @@ def verify_localization(
     if step is None:
         step = math.pi / (80.0 * params.length)
     lo = max(threshold_M, _MU_MIN)
-    anchors = _scan(Target.Phi0, params, lo, mu_max, step)[0][0]  # the mu column
-    anchors = anchors[anchors > threshold_M]
+    _check_window(params, lo, mu_max, step)
+    anchors = _phi0_roots(params, lo, mu_max)
     gaps = np.diff(anchors)
     if gaps.size and epsilon >= 0.5 * gaps.min():
         i = int(np.argmin(gaps))

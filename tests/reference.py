@@ -35,10 +35,8 @@ package now runs in batches, as exact references for them:
   the package's grid/closed-form split: ``np.linspace`` points up to the
   first one at or above ``shakerbeam.roots._mu_star``, then the edges
   (pi/4 + k pi)/l and mu_max.  The batched ``scan_with_suspects`` does the
-  same arithmetic per bracket for Phi, so the two must return equal ``Root``
-  tuples and suspects; for Phi0, which the package solves by Newton, it is
-  the grid and Brent reference that the Newton roots must match in count and
-  within the Brent tolerance.
+  same arithmetic per bracket, and for Phi0 evaluates only the points around
+  the roots, so the two must return equal ``Root`` tuples and suspects.
 * ``pair_mutual_nearest_quadratic`` -- mutual-nearest pairing by a linear
   ``min`` search per root, O(n^2).
 

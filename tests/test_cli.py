@@ -626,7 +626,7 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 # sha256 and exit code of every artifact of both shipped configs, recorded with
 # the value-by-value writer that the column writer replaced; "_1e5" runs add
 # --mu-max 1e5, so their CSVs span many chunks; "verify15_1e4" reaches far
-# above mu*, where Phi is bracketed by the half-period edges
+# above mu*, where the half-period edges are the brackets
 GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_artifacts.json").read_text())
 GOLDEN_ARGS = {
     "roots": ["roots"],

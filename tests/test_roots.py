@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -109,17 +110,18 @@ class TestScan:
         assert suspects == []
 
     def test_grid_zero_flagged_degenerate(self, half_params):
-        # 2 pi / l lies on this grid and phi there evaluates below the
-        # grid-zero threshold (-7.0e-15): reported as a degenerate (zero-width) bracket
+        # 2 pi / l lies on this grid and phi (-7.0e-15) and phi0 evaluate there
+        # below the grid-zero threshold: reported as a degenerate (zero-width) bracket
         l = half_params.length
         step = math.pi / (8.0 * l)
-        roots = scan_roots(Target.Phi, half_params, step, 4.0 * math.pi / l, step)
-        degenerate = [r for r in roots if r.degenerate]
-        assert degenerate
-        assert any(abs(r.mu - 2.0 * math.pi / l) < 1e-12 for r in degenerate)
-        for r in degenerate:
-            assert abs(r.residual) < 1e-13
-            assert r.bracket == (r.mu, r.mu)
+        for target in Target:
+            roots = scan_roots(target, half_params, step, 4.0 * math.pi / l, step)
+            degenerate = [r for r in roots if r.degenerate]
+            assert degenerate
+            assert any(abs(r.mu - 2.0 * math.pi / l) < 1e-12 for r in degenerate)
+            for r in degenerate:
+                assert abs(r.residual) < 1e-13
+                assert r.bracket == (r.mu, r.mu)
 
     def test_near_double_root_reports_both(self, params, monkeypatch):
         # two simple roots 4e-10 apart, straddling the grid point 10.5: two
@@ -167,26 +169,23 @@ class TestBatchedRefinement:
     """The lockstep refinement against the scalar Brent it replaced."""
 
     def test_scan_equals_scalar_reference(self, half_params):
-        # Phi: the same arithmetic per bracket, so equal Root tuples and
-        # suspects, not just close ones.  Phi0 (Newton, no grid): the same
-        # count, roots within the Brent tolerance and no suspects
+        # the same arithmetic per bracket: equal Root tuples and suspects, not
+        # just close ones
         windows = [(0.1, 38.5), (0.1, 1000.0), (15.0, 1000.35), (450.0, 500.0)]
         for beam in seeded_beams(20261018, 20):
             step = default_step(beam)
-            for lo, hi in windows:
-                assert scan_with_suspects(Target.Phi, beam, lo, hi, step) == (
-                    scan_with_suspects_scalar(Target.Phi, beam, lo, hi, step)
-                )
-                roots, suspects = scan_with_suspects(Target.Phi0, beam, lo, hi, step)
-                want, _ = scan_with_suspects_scalar(Target.Phi0, beam, lo, hi, step)
-                assert len(roots) == len(want) and suspects == []
-                assert max((abs(r.mu - w.mu) for r, w in zip(roots, want)), default=0.0) <= _BRACKET_TOL
-        # midspan phi with 2 pi / l on the grid: a degenerate hit to dedup
+            for target in Target:
+                for lo, hi in windows:
+                    assert scan_with_suspects(target, beam, lo, hi, step) == (
+                        scan_with_suspects_scalar(target, beam, lo, hi, step)
+                    )
+        # midspan with 2 pi / l on the grid: a degenerate hit to dedup
         step = math.pi / (8.0 * half_params.length)
-        args = (Target.Phi, half_params, step, 32.0 * step, step)
-        roots, suspects = scan_with_suspects(*args)
-        assert any(r.degenerate for r in roots)
-        assert (roots, suspects) == scan_with_suspects_scalar(*args)
+        for target in Target:
+            args = (target, half_params, step, 32.0 * step, step)
+            roots, suspects = scan_with_suspects(*args)
+            assert any(r.degenerate for r in roots)
+            assert (roots, suspects) == scan_with_suspects_scalar(*args)
 
     def test_lanes_equal_scalar_brent(self):
         a, b = _AWKWARD_BRACKETS
@@ -368,11 +367,12 @@ def _grid_only(monkeypatch):
     monkeypatch.setattr(shakerbeam.roots, "_mu_star", lambda params, mu_max: math.inf)
 
 
-def _phi0_grid_scan(monkeypatch, beam, mu_min, mu_max, step) -> tuple:
-    """``_scan`` of phi0 on the whole grid with Brent, the grid+Brent reference
-    for the Newton scan: the Phi scan's grid, brackets and refinement run on phi0."""
+def _phi0_grid_scan(monkeypatch, beam, mu_min, mu_max, step, whole=False) -> tuple:
+    """``_scan`` of phi0 the way Phi is scanned: every grid point below mu*
+    (or the whole grid) reduced, and the edges above it."""
     with monkeypatch.context() as m:
-        _grid_only(m)
+        if whole:
+            _grid_only(m)
         m.setattr(shakerbeam.roots, "_target_fn", lambda target, p: lambda x: phi0(x, p.length, p.attachment_point))
         return _scan(Target.Phi, beam, mu_min, mu_max, step)
 
@@ -418,25 +418,47 @@ class TestHalfPeriodBrackets:
             assert np.all(truncated(np.arange(1, 81) / 80.0 * (math.pi / (4.0 * l))) < 0.0)
 
     def test_equals_grid_scan_to_mu_1e5(self, params, half_params, monkeypatch):
-        # the same roots as the whole grid gives: for Phi bit for bit below mu*
-        # and within the Brent tolerance above it, for Phi0 (Newton) within the
-        # Brent tolerance everywhere
+        # the same roots as the whole grid gives: bit for bit below mu*, within
+        # the Brent tolerance above it; and below mu* a phi0 scan reduces about
+        # three points per root, to the same brackets as every grid point
+        reduced = []
+        reduce = shakerbeam.roots._reduce
+
+        def spy(x, *args):
+            reduced.append(x.size)
+            return reduce(x, *args)
+
         for beam in (params, half_params):
             mu_star, step = _mu_star(beam, 1e5), default_step(beam)
-            (roots, suspects), (truncated, none) = (_scan(target, beam, 0.1, 1e5, step) for target in Target)
-            with monkeypatch.context() as m:
-                _grid_only(m)
-                want, want_suspects = _scan(Target.Phi, beam, 0.1, 1e5, step)
-            assert roots[0].size == want[0].size > 60_000
-            assert suspects[0].size == want_suspects[0].size == 0
-            below = want[0] < mu_star
-            assert 0 < np.count_nonzero(below) < 80
-            for column, want_column in zip(roots, want):
-                assert np.array_equal(column[below], want_column[below])
-            assert np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
-            want, _ = _phi0_grid_scan(monkeypatch, beam, 0.1, 1e5, step)
-            assert truncated[0].size == want[0].size > 60_000 and none[0].size == 0
-            assert np.max(np.abs(truncated[0] - want[0])) <= _BRACKET_TOL
+            monkeypatch.setattr(shakerbeam.roots, "_reduce", spy)
+            reduced.clear()
+            truncated = _scan(Target.Phi0, beam, 0.1, 1e5, step)
+            [points, _] = reduced  # the grid's, then the edges'
+            assert _scan_bits(truncated) == _scan_bits(_phi0_grid_scan(monkeypatch, beam, 0.1, 1e5, step))
+            assert points < 3 * np.count_nonzero(truncated[0][0] < mu_star)
+            monkeypatch.undo()
+            for scan in (partial(_scan, Target.Phi), partial(_phi0_grid_scan, monkeypatch)):
+                roots, suspects = scan(beam, 0.1, 1e5, step)
+                with monkeypatch.context() as m:
+                    _grid_only(m)
+                    want, want_suspects = scan(beam, 0.1, 1e5, step)
+                assert roots[0].size == want[0].size > 60_000
+                assert suspects[0].size == want_suspects[0].size == 0
+                below = want[0] < mu_star
+                assert 0 < np.count_nonzero(below) < 80
+                for column, want_column in zip(roots, want):
+                    assert np.array_equal(column[below], want_column[below])
+                assert np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
+
+    def test_fine_step_equals_grid_scan(self, params, monkeypatch):
+        # cells narrower than Newton's interval around a root: the phi0 scan
+        # still reduces the cells that meet it, to the whole grid's brackets
+        root = _scan(Target.Phi0, params, 10.0, 12.0, default_step(params))[0][0][0]
+        for step in (1e-10, 3e-11):
+            args = (params, root - 1e-5, root + 2e-5, step)
+            want = _phi0_grid_scan(monkeypatch, *args, whole=True)
+            assert want[0][0].size == 1
+            assert _scan_bits(_scan(Target.Phi0, *args)) == _scan_bits(want)
 
     def test_exact_zero_at_window_top(self, half_params, monkeypatch):
         # midspan phi0 vanishes at 2 pi m / l: with mu_max there, the last
@@ -469,30 +491,30 @@ class TestHalfPeriodBrackets:
     def test_bad_start_takes_brent_fallback(self, params, half_params, monkeypatch):
         # a start in the next half-period leaves its own, and one Newton step
         # does not converge (but at midspan, where the start is the root):
-        # those lanes are refined by Brent on their whole half-period, to the
-        # roots the good starts give
+        # those lanes are located by Brent on their whole half-period, and the
+        # scan is bit for bit the one the good starts give (on the whole grid:
+        # above mu* the edges are the brackets, and no lane is located)
+        _grid_only(monkeypatch)
         calls = _spy_refinement(monkeypatch)
         start = shakerbeam.roots._phi0_start
         for beam in (params, half_params):
             l, step = beam.length, default_step(beam)
-            want = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
+            want = _scan_bits(_scan(Target.Phi0, beam, 0.1, 1000.0, step))
             k = np.arange(math.floor(1000.0 * l / math.pi - 0.25) + 1)  # the half-periods that meet the window
-            assert not calls
+            [(cells, _)] = calls  # the scan's own refinement, of the cells around the roots
+            calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(shakerbeam.roots, "_phi0_start", lambda k, l, l0: start(k, l, l0) + (k % 3 == 0) * math.pi / l)
-                got = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
-            [(a, b)] = calls
+                assert _scan_bits(_scan(Target.Phi0, beam, 0.1, 1000.0, step)) == want
+            [(a, b), (again, _)] = calls
             assert np.array_equal(a, _edge(k[k % 3 == 0], l)) and np.array_equal(b, _edge(k[k % 3 == 0] + 1, l))
+            assert np.array_equal(again, cells)
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(shakerbeam.roots, "_NEWTON_STEPS", 1)
-                slow = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
-            assert [a.size for a, _ in calls] == ([k.size] if beam is params else [])
+                assert _scan_bits(_scan(Target.Phi0, beam, 0.1, 1000.0, step)) == want
+            assert [a.size for a, _ in calls] == ([k.size] if beam is params else []) + [cells.size]
             calls.clear()
-            for found in (got, slow):
-                assert found[0].size == want[0].size
-                assert np.max(np.abs(found[0] - want[0])) <= _BRACKET_TOL
-                assert np.all((found[2] < found[0]) & (found[0] < found[3]))
 
 
 def _scan_bits(scan) -> list:
@@ -759,7 +781,7 @@ class TestVerifyLocalization:
         assert any(abs(s - 5.6182439) < 1e-4 for s in report.stray_roots)
 
     def test_epsilon_overlap_precondition(self, params, monkeypatch):
-        # the precondition is checked on the anchors before any exact scan
+        # the precondition is checked on the Newton anchors before any scan
         targets = []
         scan = shakerbeam.roots._scan
 
@@ -771,7 +793,7 @@ class TestVerifyLocalization:
         for epsilon, mu_max in ((0.9, 38.5), (0.5, 1e4)):
             with pytest.raises(LocalizationPreconditionError, match="half the minimum"):
                 verify_localization(params, epsilon, 10.0, mu_max)
-        assert targets == [Target.Phi0, Target.Phi0]
+        assert targets == []
 
     def test_nonpositive_epsilon_precondition(self, params):
         with pytest.raises(LocalizationPreconditionError):
@@ -800,19 +822,27 @@ class TestVerifyLocalization:
             verify_localization(params, 0.35, threshold, 38.5)
 
     @staticmethod
-    def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch, scan=None):
-        """Every anchor against every exact root, from the report's own scans,
-        which scan gives in place of ``_scan`` when it is set."""
-        scans = {}
-        scan = scan or shakerbeam.roots._scan
+    def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch, synthetic=None):
+        """Every anchor against every exact root, from the report's own anchors
+        (``_phi0_roots``) and exact scan, or from the arrays (truncated, exact)
+        that synthetic gives in their place (the anchors above mu_min)."""
+        found = {}
+        roots, scan = shakerbeam.roots._phi0_roots, shakerbeam.roots._scan
+
+        def recording_roots(beam, mu_min, mu_max):
+            truncated = roots(beam, mu_min, mu_max) if synthetic is None else synthetic[0][synthetic[0] > mu_min]
+            found[Target.Phi0] = truncated
+            return truncated
 
         def recording_scan(target, *args):
-            scans[target] = scan(target, *args)
-            return scans[target]
+            result = scan(target, *args) if synthetic is None else ((synthetic[1],) * 6, (np.empty(0),) * 2)
+            found[target] = result[0][0]
+            return result
 
+        monkeypatch.setattr(shakerbeam.roots, "_phi0_roots", recording_roots)
         monkeypatch.setattr(shakerbeam.roots, "_scan", recording_scan)
         report = verify_localization(beam, epsilon, threshold, mu_max)
-        truncated, exact = (scans[target][0][0].tolist() for target in (Target.Phi0, Target.Phi))
+        truncated, exact = (found[target].tolist() for target in (Target.Phi0, Target.Phi))
         anchors = [a for a in truncated if a > threshold]
         exact = [m for m in exact if m > threshold]
         pairings = []
@@ -874,17 +904,29 @@ class TestVerifyLocalization:
         truncated = np.array([4.0, 10.0, 20.0, 30.0])
         exact = np.array([3.5, 10.125, 19.75, 20.25, 35.5, 38.6])
 
-        def synthetic(target, *args):
-            mu, empty = truncated if target is Target.Phi0 else exact, np.empty(0)
-            return (mu, mu, mu, mu, mu, mu), (empty, empty)
-
-        report = self._check_against_brute_force(params, 0.35, 5.0, 38.5, monkeypatch, synthetic)
+        report = self._check_against_brute_force(params, 0.35, 5.0, 38.5, monkeypatch, (truncated, exact))
         assert [(p.exact_root, p.status) for p in report.pairings] == [
             (10.125, PairingStatus.PairedUnique),
             (19.75, PairingStatus.MultipleExactRoots),
             (None, PairingStatus.NoExactRootInNeighborhood),
         ]
         assert report.stray_roots == (35.5,) and report.verdict is False
+
+    def test_anchors_are_the_scans_roots_within_2_ulp(self, params, half_params):
+        # verify's Newton anchors and a scan's Brent roots of phi0: the same
+        # count, each within 2 ulp.  Where |phi0| < 1e-13 at the top of the
+        # window (1 ulp below a root, or a midspan root 2 pi m / l), the top is
+        # the root, as the scan reports it
+        below = np.nextafter(_scan(Target.Phi0, params, 10.0, 38.5, default_step(params))[0][0][-1], 0.0)
+        tops = [(params, 10.0, below), (half_params, 10.0, 2.0 * math.pi * 23 / half_params.length)]
+        cases = [(beam, lo, hi) for beam in [params, *seeded_beams(20261018, 4)] for lo, hi in ((10.0, 38.5), (15.0, 1e4))]
+        for beam, lo, hi in cases + [(half_params, 10.0, 1e4)] + tops:
+            want = _scan(Target.Phi0, beam, lo, hi, default_step(beam))[0][0]
+            got = shakerbeam.roots._phi0_roots(beam, lo, hi)
+            assert got.size == want.size > 0
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+            if (beam, lo, hi) in tops:
+                assert got[-1] == want[-1] == hi
 
     def test_same_after_the_callers_scans(self, params, half_params):
         # no scan leaves state behind: verify after a wide op's own scans equals verify run first
