@@ -1,16 +1,16 @@
 """Root location for the exact and truncated characteristic functions.
 
-``scan_roots`` brackets sign changes of phi or phi0 on a uniform grid up to
-mu*, the edge (pi/4 + k pi)/l from which every half-period between two such
-edges provably holds exactly one root (``_certified``); above mu* the edges
+``scan_roots`` brackets sign changes of phi on a uniform grid up to mu*, the
+edge (pi/4 + k pi)/l from which every half-period between two such edges
+provably holds exactly one root (``_certified``); above mu* the edges
 themselves are the brackets.  It refines the brackets in one lockstep
 safeguarded Brent batch, _BLOCK at a time: each round evaluates once, on an
-array of the brackets still open.  phi0 has exactly one simple root in every
-half-period from k = 0, so below mu* its scan evaluates only the grid points
-around the roots that Newton locates (``_phi0_reduce``), with the same
-brackets and roots as the whole grid.  The module holds no state between
-calls.
-``verify_localization`` takes phi0's Newton roots as its anchors and checks
+array of the brackets still open.  phi0 needs no grid: every half-period
+from k = 0 holds exactly one simple root of it and (0, mu_0] none, so its
+scan is the Newton solve of each half-period that meets the window
+(``_phi0_locate``), with Brent on the whole half-period as the fallback.
+The module holds no state between calls.
+``verify_localization`` takes the phi0 scan's roots as its anchors and checks
 the asymptotic pairing structure: above a threshold, every truncated root has
 exactly one exact root in its epsilon-neighborhood, its nearest, and the
 complement holds none.  It and ``pair_mutual_nearest`` find nearest roots
@@ -79,7 +79,9 @@ class Root(NamedTuple):
     """A refined zero of a characteristic function.
 
     degenerate marks grid points where |f| < 1e-13 without a usable sign
-    change (the bracket collapses to the point itself).  A tuple: equal to
+    change (the bracket collapses to the point itself).  iterations counts
+    the evaluations spent on the root: Brent's on its bracket, or for phi0
+    those of ``_phi0_locate``; 0 for a degenerate root.  A tuple: equal to
     any tuple of the same fields.
     """
 
@@ -126,13 +128,6 @@ class LocalizationReport:
     min_abs_phi0_complement: Optional[float] = None
     min_abs_phi0_prime_neighborhoods: Optional[float] = None
     rational_ratio: Optional[tuple] = None
-
-
-def _target_fn(target: Target, params: BeamParameters) -> Callable:
-    """The target's function of mu on one beam, calling phi or phi0 by the name a tracer wraps."""
-    if target is Target.Phi:
-        return lambda mu: phi(mu, params)
-    return lambda mu: phi0(mu, params.length, params.attachment_point)
 
 
 def _min(x, y):
@@ -369,14 +364,13 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
     degenerate) of the roots in ascending mu, (x, fx) of the suspects); top
     names mu_max in the window-limit message.  No grid point lies above mu*."""
     mu_star = _check_window(params, mu_min, mu_max, step, top)
-    f = _target_fn(target, params)
+    if target is Target.Phi0:
+        return _phi0_scan(params, mu_min, mu_max), (np.empty(0), np.empty(0))
+    f = lambda mu: phi(mu, params)  # the module's phi, the name a tracer wraps
     n = int(math.ceil((mu_max - mu_min) / step))
     end = _grid_end(mu_min, mu_max, n, mu_star)
-    if target is Target.Phi0:
-        parts = [_phi0_reduce(params, mu_min, mu_max, n, end)] if end else []
-    else:
-        blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
-        parts = [block for block in blocks if any(part.size for part in block)]
+    blocks = (_reduce_block(f, mu_min, mu_max, n, i0, end) for i0 in range(0, end, _BLOCK))
+    parts = [block for block in blocks if any(part.size for part in block)]
     if end <= n:
         g = end * ((mu_max - mu_min) / n) + mu_min
         parts.append(_reduce_edges(f, g, mu_max, params.length))
@@ -396,6 +390,30 @@ def _scan(target: Target, params: BeamParameters, mu_min: float, mu_max: float, 
     return tuple(column[order] for column in columns), (sus_x, sus_f)
 
 
+def _phi0_scan(params: BeamParameters, mu_min: float, mu_max: float) -> tuple:
+    """``_scan``'s root columns for phi0 in (mu_min, mu_max]: ``_phi0_locate``'s
+    roots and brackets, residuals from one phi0 call.  A residual above
+    _RESIDUAL_FACTOR (``_scan``'s contract, its scale taken as 1) sends the lane
+    to ``_phi0_brent``, and it is kept.  A window end where |phi0| < _GRID_ZERO
+    is its half-period's root, a degenerate bracket (end, end), as on a grid;
+    phi0 < 0 on (0, mu_0], so mu_min's half-period is the first."""
+    l, l0 = params.length, params.attachment_point
+    k, x, lo, hi, iterations = _phi0_locate(params, mu_min, mu_max)
+    values = phi0(np.append(x, (mu_min, mu_max)), l, l0)
+    fx = values[:-2]
+    bad = np.flatnonzero(~(np.abs(fx) <= _RESIDUAL_FACTOR))
+    if bad.size:
+        x[bad], fx[bad], spent, lo[bad], hi[bad] = _phi0_brent(k[bad], l, l0)
+        iterations[bad] += spent
+    degenerate = np.zeros(x.size, dtype=bool)
+    for i, end, value in ((0, mu_min, values[-2]), (-1, mu_max, values[-1])):
+        if abs(value) < _GRID_ZERO:
+            x[i] = lo[i] = hi[i] = end
+            fx[i], iterations[i], degenerate[i] = value, 0, True
+    keep = degenerate | ((x > mu_min) & (x <= mu_max))
+    return tuple(column[keep] for column in (x, fx, lo, hi, iterations, degenerate))
+
+
 def _phi0_start(k, l: float, l0: float):
     """Newton's start in half-period k: phi0 = 0 solved as sin(l (mu - m)) = (-1)^(k+1) cos(delta mu)/sqrt 2
     with cos(delta mu) taken at the midpoint m = (k + 3/4) pi/l, so the root itself when delta = 0."""
@@ -403,36 +421,19 @@ def _phi0_start(k, l: float, l0: float):
     return m - (1.0 - 2.0 * (k & 1)) * np.arcsin(np.cos((l - 2.0 * l0) * m) / math.sqrt(2.0)) / l
 
 
-def _phi0_reduce(params: BeamParameters, mu_min: float, mu_max: float, n: int, end: int) -> tuple:
-    """``_reduce`` of the grid points i < end of a phi0 scan (``_reduce_block``),
-    bit for bit, from about three points per root: the ends of the cells that
-    meet each interval (lo, hi) of ``_phi0_locate`` widened by its width.  No
-    root lies between two kept points that are not neighbors, and a zero or
-    suspect of the whole grid (|phi0| < 1e-10) lies within 1e-10/(l - |delta|)
-    of a root: for any step above that, at an end of that root's cell."""
-    d, top = (mu_max - mu_min) / n, min(end, n)  # the grid's last point, owned by the edges if end <= n
-    _, lo, hi = _phi0_locate(params, mu_min, top * d + mu_min)
-    cell = lambda y: np.clip(np.floor((y - mu_min) / d), 0, top - 1).astype(int)
-    first = cell(2.0 * lo - hi)
-    count = cell(2.0 * hi - lo) + 2 - first
-    j = np.sort(np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum()))
-    j = j[np.diff(j, prepend=-1) > 0]  # not np.unique, whose first call imports numpy.ma
-    x = np.where(j == n, mu_max, j * d + mu_min)
-    return _reduce(x, phi0(x, params.length, params.attachment_point), 0, np.searchsorted(j, end))
-
-
-def _phi0_roots(params: BeamParameters, mu_min: float, mu_max: float):
-    """The roots of phi0 in (mu_min, mu_max], ascending: Newton's (``_phi0_locate``),
-    within 2 ulp of a scan's, and mu_max itself where |phi0| < _GRID_ZERO there."""
-    x = _phi0_locate(params, mu_min, mu_max)[0]
-    if x.size and abs(phi0(mu_max, params.length, params.attachment_point)) < _GRID_ZERO:
-        x[-1] = mu_max  # the last half-period holds mu_max
-    return x[(x > mu_min) & (x <= mu_max)]
+def _phi0_brent(k, l: float, l0: float) -> tuple:
+    """``_refine_brackets`` of phi0 on the whole half-periods k: (x, phi0(x),
+    evaluations, lo, hi), the two edge values counted."""
+    f = lambda mu: phi0(mu, l, l0)
+    a, b = _edge(k, l), _edge(k + 1, l)
+    x, fx, iterations, lo, hi = _refine_brackets(f, a, f(a), b, f(b))
+    return x, fx, iterations + 2, lo, hi
 
 
 def _phi0_locate(params: BeamParameters, mu_min: float, mu_max: float) -> tuple:
-    """(x, lo, hi) for the root x of each half-period that meets [mu_min, mu_max],
-    _BLOCK half-periods at a time, (lo, hi) strictly holding it.
+    """(k, x, lo, hi, evaluations) for the root x of each half-period k that
+    meets [mu_min, mu_max], _BLOCK half-periods at a time, (lo, hi) strictly
+    holding it: two evaluations per Newton step, two for the bracket test.
 
     ``_certified``'s argument with phi1 = 0 (B = B' = 0) needs only l > |delta|,
     which 0 < l0 < l gives, so from k = 0 every half-period (mu_k, mu_{k+1})
@@ -442,18 +443,19 @@ def _phi0_locate(params: BeamParameters, mu_min: float, mu_max: float) -> tuple:
     below the Brent tolerance tol, and a lane keeps (x - tol, x + tol) if phi0
     differs in sign at its ends.  A lane that ends outside its half-period,
     takes more than _NEWTON_STEPS steps, or fails that test takes the root and
-    bracket of ``_refine_brackets`` on the whole half-period instead.
+    bracket of ``_phi0_brent`` on the whole half-period instead.
     """
     l, l0 = params.length, params.attachment_point
     # an edge that rounding misplaces only adds or drops a half-period whose root lies far outside the window
     k0, k1 = (math.floor(mu * l / math.pi - 0.25) for mu in (mu_min, mu_max))
     k = np.arange(max(k0, 0), k1 + 1)
     columns = np.empty((3, k.size))
+    evaluations = np.empty(k.size, dtype=int)
     for i in range(0, k.size, _BLOCK):
         kb = k[i : i + _BLOCK]
         a, b, x = _edge(kb, l), _edge(kb + 1, l), _phi0_start(kb, l, l0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(_NEWTON_STEPS):
+            for steps in range(1, _NEWTON_STEPS + 1):
                 step = phi0(x, l, l0) / phi0_prime(x, l, l0)
                 x = x - step
                 tol = 0.5 * _BRACKET_TOL + _EPS * np.abs(x)
@@ -461,12 +463,13 @@ def _phi0_locate(params: BeamParameters, mu_min: float, mu_max: float) -> tuple:
                     break
             straddle = np.sign(phi0(x - tol, l, l0)) * np.sign(phi0(x + tol, l, l0)) < 0.0
         columns[:, i : i + _BLOCK] = x, x - tol, x + tol
+        evaluations[i : i + _BLOCK] = 2 * steps + 2  # in lockstep
         bad = np.flatnonzero(~((a < x) & (x < b) & (np.abs(step) <= tol) & straddle))
         if bad.size:
-            f = lambda mu: phi0(mu, l, l0)
-            x, _, _, lo, hi = _refine_brackets(f, a[bad], f(a[bad]), b[bad], f(b[bad]))
+            x, _, spent, lo, hi = _phi0_brent(kb[bad], l, l0)
             columns[:, i + bad] = x, lo, hi
-    return columns
+            evaluations[i + bad] += spent
+    return (k, *columns, evaluations)
 
 
 def scan_with_suspects(
@@ -478,21 +481,22 @@ def scan_with_suspects(
 ) -> tuple:
     """Scan a window; return (roots, suspects).
 
-    The grid is np.linspace(mu_min, mu_max, n + 1) up to its first point at
-    or above mu* (``_mu_star``; all of it if mu* lies above the window), walked
-    in blocks: memory is O(block + roots).  Above that point the brackets are
-    the edges (pi/4 + k pi)/l, each half-period holding exactly one root, and
-    the two partial half-periods at the ends hold one exactly when their end
-    values differ in sign.  Roots below mu* are those of the whole grid, bit
-    for bit.  Suspects are grid local minima of |f| below 1e-10 without a sign
-    change -- near-tangent configurations that must not be silently promoted
-    to roots.  Above mu* there are none, nor exact zeros at grid points: there
-    is no grid there, and |phi'| > 0 wherever |phi0| <= B, so every zero of phi
-    there is a simple crossing.  The window lies in [_MU_MIN, 1.001 * _MU_MAX].
+    For Phi the grid is np.linspace(mu_min, mu_max, n + 1) up to its first
+    point at or above mu* (``_mu_star``; all of it if mu* lies above the
+    window), walked in blocks: memory is O(block + roots).  Above that point
+    the brackets are the edges (pi/4 + k pi)/l, each half-period holding
+    exactly one root, and the two partial half-periods at the ends hold one
+    exactly when their end values differ in sign.  Roots below mu* are those
+    of the whole grid, bit for bit.  Suspects are grid local minima of |f|
+    below 1e-10 without a sign change -- near-tangent configurations that must
+    not be silently promoted to roots.  Above mu* there are none, nor exact
+    zeros at grid points: there is no grid there, and |phi'| > 0 wherever
+    |phi0| <= B, so every zero of phi there is a simple crossing.
 
-    Below mu*, a phi0 scan evaluates only the grid points around its roots,
-    which Newton locates (``_phi0_reduce``): its roots and suspects are those
-    of the whole grid, bit for bit.  Roots are ``Root`` tuples.
+    Phi0 has no grid and reads step only to check it: Newton solves the one
+    root of each half-period (``_phi0_scan``).  It has no suspects, and its
+    only degenerate roots are window ends where |phi0| < 1e-13.  The window
+    lies in [_MU_MIN, 1.001 * _MU_MAX].  Roots are ``Root`` tuples.
     """
     roots, suspects = _scan(target, params, mu_min, mu_max, step)
     mu, residual, lo, hi, iterations, degenerate = (column.tolist() for column in roots)
@@ -551,12 +555,11 @@ def verify_localization(
     The report's min_abs_phi0_complement is sampled on 4,001 points, an upper
     bound on the true minimum (see ``LocalizationReport``).
 
-    Its anchors are phi0's roots in (threshold_M, mu_max] by Newton
-    (``_phi0_roots``), within 2 ulp of a scan's.  It checks the epsilon
-    precondition on them before it checks the exact window, to mu_max +
-    epsilon, and scans Phi there: a violated precondition wins over an invalid
-    exact window and costs no Brent refinement.  The pairings are
-    ``RootPairing`` tuples.
+    Its anchors are the roots above threshold_M of a phi0 scan to mu_max,
+    which reads step only to check it.  It checks the epsilon precondition on
+    them before it checks the exact window, to mu_max + epsilon, and scans Phi
+    there: a violated precondition wins over an invalid exact window and costs
+    no Phi scan.  The pairings are ``RootPairing`` tuples.
     """
     if epsilon <= 0.0:
         raise LocalizationPreconditionError(f"epsilon must be positive, got {epsilon}")
@@ -582,8 +585,8 @@ def verify_localization(
     if step is None:
         step = math.pi / (80.0 * params.length)
     lo = max(threshold_M, _MU_MIN)
-    _check_window(params, lo, mu_max, step)
-    anchors = _phi0_roots(params, lo, mu_max)
+    anchors = _scan(Target.Phi0, params, lo, mu_max, step)[0][0]
+    anchors = anchors[anchors > threshold_M]
     gaps = np.diff(anchors)
     if gaps.size and epsilon >= 0.5 * gaps.min():
         i = int(np.argmin(gaps))
@@ -595,7 +598,15 @@ def verify_localization(
     exact = _scan(Target.Phi, params, lo, mu_max + epsilon, step, "mu_max + epsilon")[0][0]
     exact = exact[exact > threshold_M]
 
-    owner = _owner(exact, anchors, epsilon)
+    # the anchor whose neighborhood holds each exact root and margin sample, or -1:
+    # epsilon is below half the least anchor gap, so only the nearest can
+    sample = np.linspace(lo, mu_max, 4001)
+    points = np.concatenate((exact, sample))
+    owner = np.full(points.size, -1)
+    if anchors.size:
+        k = _nearest_index(points, anchors)
+        owner = np.where(np.abs(points - anchors[k]) < epsilon, k, -1)
+    owner, outside = owner[: exact.size], (owner[exact.size :] < 0) & (sample > threshold_M)
     counts = np.bincount(owner[owner >= 0], minlength=anchors.size)
     # an anchor's nearest exact root lies in its neighborhood whenever any
     # does; a tie goes to the lower root
@@ -609,10 +620,8 @@ def verify_localization(
     verdict = bool(np.all(counts == 1)) and not strays
 
     # empirical margins: min |phi0| over the complement, min |phi0'| near anchors
-    sample = np.linspace(lo, mu_max, 4001)
     l, l0 = params.length, params.attachment_point
     margin_p = float(np.min(np.abs(phi0_prime(anchors, l, l0)))) if anchors.size else None
-    outside = (_owner(sample, anchors, epsilon) < 0) & (sample > threshold_M)
     complement_vals = np.abs(phi0(sample, l, l0))[outside]
     margin_c = float(np.min(complement_vals)) if complement_vals.size else None
     return LocalizationReport(
@@ -626,17 +635,6 @@ def verify_localization(
         min_abs_phi0_prime_neighborhoods=margin_p,
         rational_ratio=rational,
     )
-
-
-def _owner(x: np.ndarray, anchors: np.ndarray, epsilon: float) -> np.ndarray:
-    """Index of the anchor whose epsilon-neighborhood holds each x, or -1.  The
-    anchors ascend more than 2 epsilon apart, so only one of the two around x can."""
-    owner = np.full(x.size, -1)
-    if anchors.size:
-        above = np.searchsorted(anchors, x)
-        for k in (np.maximum(above - 1, 0), np.minimum(above, anchors.size - 1)):
-            owner = np.where(np.abs(x - anchors[k]) < epsilon, k, owner)
-    return owner
 
 
 def _nearest_index(x: np.ndarray, pool: np.ndarray) -> np.ndarray:

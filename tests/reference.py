@@ -35,8 +35,9 @@ package now runs in batches, as exact references for them:
   the package's grid/closed-form split: ``np.linspace`` points up to the
   first one at or above ``shakerbeam.roots._mu_star``, then the edges
   (pi/4 + k pi)/l and mu_max.  The batched ``scan_with_suspects`` does the
-  same arithmetic per bracket, and for Phi0 evaluates only the points around
-  the roots, so the two must return equal ``Root`` tuples and suspects.
+  same arithmetic per bracket for Phi, so the two must return equal ``Root``
+  tuples and suspects; for Phi0, which the package solves by Newton per
+  half-period, the same roots within ``_BRACKET_TOL``.
 * ``pair_mutual_nearest_quadratic`` -- mutual-nearest pairing by a linear
   ``min`` search per root, O(n^2).
 
@@ -75,7 +76,7 @@ from typing import Callable
 
 import numpy as np
 
-from shakerbeam import BeamParameters, DomainError, ModeShape, evaluate_mode, mu_hat
+from shakerbeam import BeamParameters, DomainError, ModeShape, evaluate_mode, mu_hat, phi, phi0
 from shakerbeam.roots import (
     _BRACKET_TOL,
     _GRID_ZERO,
@@ -85,7 +86,6 @@ from shakerbeam.roots import (
     Root,
     Target,
     _mu_star,
-    _target_fn,
 )
 
 # cosh overflows double just above exp(710); stay below with margin
@@ -319,6 +319,13 @@ def _brent(f: Callable, a: float, fa: float, b: float, fb: float):
     lo = float(np.nextafter(min(lo, best_x), -math.inf))
     hi = float(np.nextafter(max(hi, best_x), math.inf))
     return best_x, best_f, iterations, (lo, hi)
+
+
+def _target_fn(target: Target, params: BeamParameters) -> Callable:
+    """The target's function of mu on one beam."""
+    if target is Target.Phi:
+        return lambda mu: phi(mu, params)
+    return lambda mu: phi0(mu, params.length, params.attachment_point)
 
 
 def scan_with_suspects_scalar(

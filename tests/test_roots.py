@@ -110,18 +110,17 @@ class TestScan:
         assert suspects == []
 
     def test_grid_zero_flagged_degenerate(self, half_params):
-        # 2 pi / l lies on this grid and phi (-7.0e-15) and phi0 evaluate there
-        # below the grid-zero threshold: reported as a degenerate (zero-width) bracket
+        # 2 pi / l lies on this grid and phi evaluates there to -7.0e-15, below
+        # the grid-zero threshold: reported as a degenerate (zero-width) bracket
         l = half_params.length
         step = math.pi / (8.0 * l)
-        for target in Target:
-            roots = scan_roots(target, half_params, step, 4.0 * math.pi / l, step)
-            degenerate = [r for r in roots if r.degenerate]
-            assert degenerate
-            assert any(abs(r.mu - 2.0 * math.pi / l) < 1e-12 for r in degenerate)
-            for r in degenerate:
-                assert abs(r.residual) < 1e-13
-                assert r.bracket == (r.mu, r.mu)
+        roots = scan_roots(Target.Phi, half_params, step, 4.0 * math.pi / l, step)
+        degenerate = [r for r in roots if r.degenerate]
+        assert degenerate
+        assert any(abs(r.mu - 2.0 * math.pi / l) < 1e-12 for r in degenerate)
+        for r in degenerate:
+            assert abs(r.residual) < 1e-13
+            assert r.bracket == (r.mu, r.mu)
 
     def test_near_double_root_reports_both(self, params, monkeypatch):
         # two simple roots 4e-10 apart, straddling the grid point 10.5: two
@@ -132,8 +131,7 @@ class TestScan:
             x = np.asarray(x, dtype=float)
             return 1e10 * (x - a) * (x - b)
 
-        for module in (shakerbeam.roots, reference):
-            monkeypatch.setattr(module, "_target_fn", lambda target, p: near_double)
+        _patch_phi(monkeypatch, near_double)
         beam = dataclasses.replace(params, length=0.5, attachment_point=0.2)
         args = (Target.Phi, beam, 0.5, 20.5, 1.0)
         roots, suspects = scan_with_suspects(*args)
@@ -141,6 +139,18 @@ class TestScan:
         assert [r.mu for r in roots] == pytest.approx([a, b], abs=1e-12)
         assert not any(r.degenerate for r in roots)
         assert suspects == []
+
+
+def _patch_phi(monkeypatch, f):
+    """Make f the function that the package's Phi scan and the scalar reference scan."""
+    monkeypatch.setattr(shakerbeam.roots, "phi", lambda mu, p: f(mu))
+    monkeypatch.setattr(reference, "_target_fn", lambda target, p: f)
+
+
+def _assert_close_roots(roots, want):
+    """The same number of roots, each within the Brent tolerance of the one it replaces."""
+    assert len(roots) == len(want)
+    assert all(abs(r.mu - w.mu) <= _BRACKET_TOL for r, w in zip(roots, want))
 
 
 def _awkward(x):
@@ -169,23 +179,26 @@ class TestBatchedRefinement:
     """The lockstep refinement against the scalar Brent it replaced."""
 
     def test_scan_equals_scalar_reference(self, half_params):
-        # the same arithmetic per bracket: equal Root tuples and suspects, not
-        # just close ones
+        # Phi: the same arithmetic per bracket, so equal Root tuples and
+        # suspects, not just close ones.  Phi0, solved by Newton per
+        # half-period: the same roots within the Brent tolerance, no suspects
         windows = [(0.1, 38.5), (0.1, 1000.0), (15.0, 1000.35), (450.0, 500.0)]
         for beam in seeded_beams(20261018, 20):
             step = default_step(beam)
-            for target in Target:
-                for lo, hi in windows:
-                    assert scan_with_suspects(target, beam, lo, hi, step) == (
-                        scan_with_suspects_scalar(target, beam, lo, hi, step)
-                    )
+            for lo, hi in windows:
+                assert scan_with_suspects(Target.Phi, beam, lo, hi, step) == (
+                    scan_with_suspects_scalar(Target.Phi, beam, lo, hi, step)
+                )
+                roots, suspects = scan_with_suspects(Target.Phi0, beam, lo, hi, step)
+                want, want_suspects = scan_with_suspects_scalar(Target.Phi0, beam, lo, hi, step)
+                _assert_close_roots(roots, want)
+                assert suspects == want_suspects == []
         # midspan with 2 pi / l on the grid: a degenerate hit to dedup
         step = math.pi / (8.0 * half_params.length)
-        for target in Target:
-            args = (target, half_params, step, 32.0 * step, step)
-            roots, suspects = scan_with_suspects(*args)
-            assert any(r.degenerate for r in roots)
-            assert (roots, suspects) == scan_with_suspects_scalar(*args)
+        args = (Target.Phi, half_params, step, 32.0 * step, step)
+        roots, suspects = scan_with_suspects(*args)
+        assert any(r.degenerate for r in roots)
+        assert (roots, suspects) == scan_with_suspects_scalar(*args)
 
     def test_lanes_equal_scalar_brent(self):
         a, b = _AWKWARD_BRACKETS
@@ -241,6 +254,8 @@ class TestBlockScan:
         return (Target.Phi, half_params, step, 32.0 * step, step)
 
     def test_block_sizes_equal_default(self, half_params, monkeypatch):
+        # Phi bit for bit; Phi0, whose Newton lanes step in lockstep per block
+        # of half-periods, within the Brent tolerance of the scalar reference
         beams = seeded_beams(20261018, 2)
         cases = [
             (target, beam, lo, hi, default_step(beam))
@@ -248,7 +263,9 @@ class TestBlockScan:
             for target in Target
             for lo, hi in self.SHORT + self.LONG
         ] + [self._midspan_args(half_params)]
-        expected = [scan_with_suspects(*args) for args in cases]
+        expected = [
+            scan_with_suspects(*args) if args[0] is Target.Phi else scan_with_suspects_scalar(*args) for args in cases
+        ]
         assert any(r.degenerate for r in expected[-1][0])
         for block in (1, 2, 3, 7, 64):
             monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
@@ -256,13 +273,17 @@ class TestBlockScan:
                 # tiny blocks on the long windows cost seconds and add nothing
                 if block < 64 and args[3] - args[2] > 100.0:
                     continue
-                assert scan_with_suspects(*args) == want
+                if args[0] is Target.Phi:
+                    assert scan_with_suspects(*args) == want
+                else:
+                    roots, suspects = scan_with_suspects(*args)
+                    _assert_close_roots(roots, want[0])
+                    assert suspects == want[1] == []
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 8, 64])
     def test_features_on_block_edges(self, params, monkeypatch, block):
         beam = dataclasses.replace(params, length=0.5, attachment_point=0.2)
-        for module in (shakerbeam.roots, reference):
-            monkeypatch.setattr(module, "_target_fn", lambda target, p: _edge_features)
+        _patch_phi(monkeypatch, _edge_features)
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", block)
         args = (Target.Phi, beam, 1.0, 48.0, 1.0)
         roots, suspects = scan_with_suspects(*args)
@@ -281,7 +302,7 @@ class TestBlockScan:
             calls.append(np.array(x))
             return np.ones_like(x)
 
-        monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: record)
+        monkeypatch.setattr(shakerbeam.roots, "phi", lambda mu, p: record(mu))
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 1000)
         step, l = default_step(params), params.length
         cuts = []
@@ -311,7 +332,7 @@ class TestBlockScan:
                 raise Boom("block above 30")
             return np.ones_like(x)
 
-        monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: explode)
+        monkeypatch.setattr(shakerbeam.roots, "phi", lambda mu, p: explode(mu))
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 64)
         with pytest.raises(Boom, match="block above 30"):
             scan_with_suspects(Target.Phi, params, 0.1, 38.5, default_step(params))
@@ -337,7 +358,7 @@ class TestBlockScan:
             callers.add(threading.get_ident())
             return np.sin(x)
 
-        monkeypatch.setattr(shakerbeam.roots, "_target_fn", lambda target, p: sine)
+        monkeypatch.setattr(shakerbeam.roots, "phi", lambda mu, p: sine(mu))
         monkeypatch.setattr(shakerbeam.roots, "_BLOCK", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         threads = threading.active_count()
@@ -365,16 +386,6 @@ class TestBlockScan:
 def _grid_only(monkeypatch):
     """Scan every window on its whole grid, as if mu* lay above it."""
     monkeypatch.setattr(shakerbeam.roots, "_mu_star", lambda params, mu_max: math.inf)
-
-
-def _phi0_grid_scan(monkeypatch, beam, mu_min, mu_max, step, whole=False) -> tuple:
-    """``_scan`` of phi0 the way Phi is scanned: every grid point below mu*
-    (or the whole grid) reduced, and the edges above it."""
-    with monkeypatch.context() as m:
-        if whole:
-            _grid_only(m)
-        m.setattr(shakerbeam.roots, "_target_fn", lambda target, p: lambda x: phi0(x, p.length, p.attachment_point))
-        return _scan(Target.Phi, beam, mu_min, mu_max, step)
 
 
 class TestHalfPeriodBrackets:
@@ -418,61 +429,59 @@ class TestHalfPeriodBrackets:
             assert np.all(truncated(np.arange(1, 81) / 80.0 * (math.pi / (4.0 * l))) < 0.0)
 
     def test_equals_grid_scan_to_mu_1e5(self, params, half_params, monkeypatch):
-        # the same roots as the whole grid gives: bit for bit below mu*, within
-        # the Brent tolerance above it; and below mu* a phi0 scan reduces about
-        # three points per root, to the same brackets as every grid point
-        reduced = []
-        reduce = shakerbeam.roots._reduce
-
-        def spy(x, *args):
-            reduced.append(x.size)
-            return reduce(x, *args)
-
+        # Phi: the same roots as the whole grid gives, bit for bit below mu*,
+        # within the Brent tolerance above it.  Phi0: as many roots as the grid
+        # scan finds on phi0 (the Phi path, on phi0), each within the Brent tolerance
         for beam in (params, half_params):
             mu_star, step = _mu_star(beam, 1e5), default_step(beam)
-            monkeypatch.setattr(shakerbeam.roots, "_reduce", spy)
-            reduced.clear()
-            truncated = _scan(Target.Phi0, beam, 0.1, 1e5, step)
-            [points, _] = reduced  # the grid's, then the edges'
-            assert _scan_bits(truncated) == _scan_bits(_phi0_grid_scan(monkeypatch, beam, 0.1, 1e5, step))
-            assert points < 3 * np.count_nonzero(truncated[0][0] < mu_star)
-            monkeypatch.undo()
-            for scan in (partial(_scan, Target.Phi), partial(_phi0_grid_scan, monkeypatch)):
-                roots, suspects = scan(beam, 0.1, 1e5, step)
-                with monkeypatch.context() as m:
-                    _grid_only(m)
-                    want, want_suspects = scan(beam, 0.1, 1e5, step)
-                assert roots[0].size == want[0].size > 60_000
-                assert suspects[0].size == want_suspects[0].size == 0
-                below = want[0] < mu_star
-                assert 0 < np.count_nonzero(below) < 80
-                for column, want_column in zip(roots, want):
-                    assert np.array_equal(column[below], want_column[below])
-                assert np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
+            roots, suspects = _scan(Target.Phi, beam, 0.1, 1e5, step)
+            with monkeypatch.context() as m:
+                _grid_only(m)
+                want, want_suspects = _scan(Target.Phi, beam, 0.1, 1e5, step)
+            assert roots[0].size == want[0].size > 60_000
+            assert suspects[0].size == want_suspects[0].size == 0
+            below = want[0] < mu_star
+            assert 0 < np.count_nonzero(below) < 80
+            for column, want_column in zip(roots, want):
+                assert np.array_equal(column[below], want_column[below])
+            assert np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
+            truncated, none = _scan(Target.Phi0, beam, 0.1, 1e5, step)
+            with monkeypatch.context() as m:
+                m.setattr(shakerbeam.roots, "phi", lambda mu, p: phi0(mu, p.length, p.attachment_point))
+                grid = _scan(Target.Phi, beam, 0.1, 1e5, step)[0]
+            assert truncated[0].size == grid[0].size > 60_000
+            assert np.max(np.abs(truncated[0] - grid[0])) <= _BRACKET_TOL
+            assert none[0].size == 0 and not truncated[5].any()
 
-    def test_fine_step_equals_grid_scan(self, params, monkeypatch):
-        # cells narrower than Newton's interval around a root: the phi0 scan
-        # still reduces the cells that meet it, to the whole grid's brackets
+    def test_scan_independent_of_step(self, params):
+        # Phi0 reads the step only to check it: any valid step, down to cells
+        # narrower than Newton's bracket around a root, gives the same bits
         root = _scan(Target.Phi0, params, 10.0, 12.0, default_step(params))[0][0][0]
-        for step in (1e-10, 3e-11):
-            args = (params, root - 1e-5, root + 2e-5, step)
-            want = _phi0_grid_scan(monkeypatch, *args, whole=True)
-            assert want[0][0].size == 1
-            assert _scan_bits(_scan(Target.Phi0, *args)) == _scan_bits(want)
+        for lo, hi in ((root - 1e-5, root + 2e-5), (0.1, 1000.0)):
+            want = _scan_bits(_scan(Target.Phi0, params, lo, hi, default_step(params)))
+            for step in (default_step(params) / 7.0, 1e-6, 1e-10, 3e-11):
+                if (hi - lo) / step < 2**31:
+                    assert _scan_bits(_scan(Target.Phi0, params, lo, hi, step)) == want
 
-    def test_exact_zero_at_window_top(self, half_params, monkeypatch):
-        # midspan phi0 vanishes at 2 pi m / l: with mu_max there, the last
-        # partial half-period has no sign change and mu_max is a grid-zero hit,
-        # as on the whole grid
-        step = default_step(half_params)
-        for m in (23, 100):
-            top = 2.0 * math.pi * m / half_params.length
-            roots, _ = _scan(Target.Phi0, half_params, 0.1, top, step)
-            with monkeypatch.context() as mp:
-                _grid_only(mp)
-                want, _ = _scan(Target.Phi0, half_params, 0.1, top, step)
-            assert roots[0].size == want[0].size == 2 * m
-            assert roots[0][-1] == want[0][-1] == top and roots[5][-1] and want[5][-1]
+    def test_exact_zero_at_window_top(self, half_params):
+        # midspan phi0 vanishes at 2 pi m / l: with a window end there, that end
+        # is the root of its half-period, a degenerate bracket (end, end), as a
+        # grid reports it; windows (0.1, 2 pi m1 / l), and from 2 pi m0 / l
+        l, step = half_params.length, default_step(half_params)
+        for m0, m1 in ((0, 23), (0, 100), (5, 23), (40, 0)):
+            lo = 2.0 * math.pi * m0 / l if m0 else 0.1
+            hi = 2.0 * math.pi * m1 / l if m1 else 200.0
+            roots, _ = _scan(Target.Phi0, half_params, lo, hi, step)
+            want, _ = scan_with_suspects_scalar(Target.Phi0, half_params, lo, hi, step)
+            assert roots[0].size == len(want) == (2 * m1 if lo == 0.1 else roots[0].size)
+            assert np.max(np.abs(roots[0] - [r.mu for r in want])) <= _BRACKET_TOL
+            ends = [i for i, end in ((0, m0), (-1, m1)) if end]
+            degenerate = np.zeros(roots[0].size, dtype=bool)
+            degenerate[ends] = True
+            assert np.array_equal(roots[5], degenerate)
+            for i in ends:
+                assert want[i].degenerate and roots[0][i] == roots[2][i] == roots[3][i] == want[i].mu == (lo, hi)[i]
+                assert abs(roots[1][i]) < 1e-13 and roots[4][i] == 0
 
     def test_large_mass_ratio_runs_only_the_grid(self, params, monkeypatch):
         # 4 rho/m = 2430 puts mu* near 1.06e4, above this window
@@ -491,30 +500,49 @@ class TestHalfPeriodBrackets:
     def test_bad_start_takes_brent_fallback(self, params, half_params, monkeypatch):
         # a start in the next half-period leaves its own, and one Newton step
         # does not converge (but at midspan, where the start is the root):
-        # those lanes are located by Brent on their whole half-period, and the
-        # scan is bit for bit the one the good starts give (on the whole grid:
-        # above mu* the edges are the brackets, and no lane is located)
-        _grid_only(monkeypatch)
+        # exactly those lanes are located by Brent on their whole half-period,
+        # and the scan keeps every root, within the Brent tolerance of the
+        # good starts' Newton roots
         calls = _spy_refinement(monkeypatch)
         start = shakerbeam.roots._phi0_start
         for beam in (params, half_params):
             l, step = beam.length, default_step(beam)
-            want = _scan_bits(_scan(Target.Phi0, beam, 0.1, 1000.0, step))
+            want = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
             k = np.arange(math.floor(1000.0 * l / math.pi - 0.25) + 1)  # the half-periods that meet the window
-            [(cells, _)] = calls  # the scan's own refinement, of the cells around the roots
-            calls.clear()
+            assert calls == []
             with monkeypatch.context() as m:
                 m.setattr(shakerbeam.roots, "_phi0_start", lambda k, l, l0: start(k, l, l0) + (k % 3 == 0) * math.pi / l)
-                assert _scan_bits(_scan(Target.Phi0, beam, 0.1, 1000.0, step)) == want
-            [(a, b), (again, _)] = calls
+                roots = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
+            [(a, b)] = calls
             assert np.array_equal(a, _edge(k[k % 3 == 0], l)) and np.array_equal(b, _edge(k[k % 3 == 0] + 1, l))
-            assert np.array_equal(again, cells)
+            assert roots[0].size == want[0].size and np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(shakerbeam.roots, "_NEWTON_STEPS", 1)
-                assert _scan_bits(_scan(Target.Phi0, beam, 0.1, 1000.0, step)) == want
-            assert [a.size for a, _ in calls] == ([k.size] if beam is params else []) + [cells.size]
+                roots = _scan(Target.Phi0, beam, 0.1, 1000.0, step)[0]
+            assert _lanes(calls) == ([k.size] if beam is params else [])
+            assert roots[0].size == want[0].size and np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
             calls.clear()
+
+    def test_residual_failure_takes_brent_fallback(self, params, monkeypatch):
+        # under a zero residual contract every Newton root x with phi0(x) != 0
+        # fails it, those of the half-periods that only meet the window too:
+        # its half-period takes Brent's root, which is kept although its
+        # residual misses the contract as well
+        l, l0 = params.length, params.attachment_point
+        want = _scan(Target.Phi0, params, 0.1, 1000.0, default_step(params))[0]
+        k, x, *_ = shakerbeam.roots._phi0_locate(params, 0.1, 1000.0)
+        calls = _spy_refinement(monkeypatch)
+        monkeypatch.setattr(shakerbeam.roots, "_RESIDUAL_FACTOR", 0.0)
+        roots = _scan(Target.Phi0, params, 0.1, 1000.0, default_step(params))[0]
+        [(a, _)] = calls
+        assert 0 < a.size < k.size
+        assert np.array_equal(a, _edge(k[phi0(x, l, l0) != 0.0], l))
+        assert roots[0].size == want[0].size and np.max(np.abs(roots[0] - want[0])) <= _BRACKET_TOL
+        assert np.any(roots[1] != 0.0)
+        lo, hi = roots[2], roots[3]
+        assert np.all((lo < roots[0]) & (roots[0] < hi))
+        assert np.array_equal(roots[1], phi0(roots[0], l, l0))
 
 
 def _scan_bits(scan) -> list:
@@ -781,7 +809,8 @@ class TestVerifyLocalization:
         assert any(abs(s - 5.6182439) < 1e-4 for s in report.stray_roots)
 
     def test_epsilon_overlap_precondition(self, params, monkeypatch):
-        # the precondition is checked on the Newton anchors before any scan
+        # the precondition is checked on the anchors, the phi0 scan's roots,
+        # before the exact scan
         targets = []
         scan = shakerbeam.roots._scan
 
@@ -793,7 +822,7 @@ class TestVerifyLocalization:
         for epsilon, mu_max in ((0.9, 38.5), (0.5, 1e4)):
             with pytest.raises(LocalizationPreconditionError, match="half the minimum"):
                 verify_localization(params, epsilon, 10.0, mu_max)
-        assert targets == []
+        assert targets == [Target.Phi0, Target.Phi0]
 
     def test_nonpositive_epsilon_precondition(self, params):
         with pytest.raises(LocalizationPreconditionError):
@@ -823,23 +852,19 @@ class TestVerifyLocalization:
 
     @staticmethod
     def _check_against_brute_force(beam, epsilon, threshold, mu_max, monkeypatch, synthetic=None):
-        """Every anchor against every exact root, from the report's own anchors
-        (``_phi0_roots``) and exact scan, or from the arrays (truncated, exact)
-        that synthetic gives in their place (the anchors above mu_min)."""
+        """Every anchor against every exact root, from the report's own scans,
+        or from the arrays (truncated, exact) that synthetic gives in their place."""
         found = {}
-        roots, scan = shakerbeam.roots._phi0_roots, shakerbeam.roots._scan
-
-        def recording_roots(beam, mu_min, mu_max):
-            truncated = roots(beam, mu_min, mu_max) if synthetic is None else synthetic[0][synthetic[0] > mu_min]
-            found[Target.Phi0] = truncated
-            return truncated
+        scan = shakerbeam.roots._scan
 
         def recording_scan(target, *args):
-            result = scan(target, *args) if synthetic is None else ((synthetic[1],) * 6, (np.empty(0),) * 2)
+            if synthetic is None:
+                result = scan(target, *args)
+            else:
+                result = ((synthetic[target is Target.Phi],) * 6, (np.empty(0),) * 2)
             found[target] = result[0][0]
             return result
 
-        monkeypatch.setattr(shakerbeam.roots, "_phi0_roots", recording_roots)
         monkeypatch.setattr(shakerbeam.roots, "_scan", recording_scan)
         report = verify_localization(beam, epsilon, threshold, mu_max)
         truncated, exact = (found[target].tolist() for target in (Target.Phi0, Target.Phi))
@@ -912,21 +937,19 @@ class TestVerifyLocalization:
         ]
         assert report.stray_roots == (35.5,) and report.verdict is False
 
-    def test_anchors_are_the_scans_roots_within_2_ulp(self, params, half_params):
-        # verify's Newton anchors and a scan's Brent roots of phi0: the same
-        # count, each within 2 ulp.  Where |phi0| < 1e-13 at the top of the
-        # window (1 ulp below a root, or a midspan root 2 pi m / l), the top is
-        # the root, as the scan reports it
+    def test_anchors_are_the_scans_roots(self, params, half_params):
+        # verify's anchors are a phi0 scan's roots above the threshold, bit for
+        # bit.  Where |phi0| < 1e-13 at the top of the window (1 ulp below a
+        # root, or a midspan root 2 pi m / l), the top is the root
         below = np.nextafter(_scan(Target.Phi0, params, 10.0, 38.5, default_step(params))[0][0][-1], 0.0)
         tops = [(params, 10.0, below), (half_params, 10.0, 2.0 * math.pi * 23 / half_params.length)]
         cases = [(beam, lo, hi) for beam in [params, *seeded_beams(20261018, 4)] for lo, hi in ((10.0, 38.5), (15.0, 1e4))]
         for beam, lo, hi in cases + [(half_params, 10.0, 1e4)] + tops:
             want = _scan(Target.Phi0, beam, lo, hi, default_step(beam))[0][0]
-            got = shakerbeam.roots._phi0_roots(beam, lo, hi)
-            assert got.size == want.size > 0
-            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+            report = verify_localization(beam, 0.05, lo, hi)
+            assert [p.truncated_root for p in report.pairings] == want.tolist()
             if (beam, lo, hi) in tops:
-                assert got[-1] == want[-1] == hi
+                assert want[-1] == hi
 
     def test_same_after_the_callers_scans(self, params, half_params):
         # no scan leaves state behind: verify after a wide op's own scans equals verify run first
